@@ -12,9 +12,9 @@ between exact expectations, so Monte Carlo can only refute with slack; k = 4
 keeps the false-alarm rate per check below 1e-4.
 
 Paths are split into fixed-size blocks by path id; blocks may run on any
-number of threads but partial sums are always combined in ascending block
-order, so every result is bit-reproducible for a given seed regardless of
-worker count.
+number of threads but their central moments are always merged in ascending
+block order, so every result is bit-reproducible for a given seed regardless
+of worker count.
 """
 from __future__ import annotations
 
@@ -46,14 +46,35 @@ class Stats:
     count: int
 
 
-def _stats_from_sums(s1: float, s2: float, s3: float, s4: float, m: int) -> Stats:
-    mean = s1 / m
-    m2 = max(s2 / m - mean**2, 0.0)
-    var = m2 * m / (m - 1) if m > 1 else 0.0
+def _moments(vals: np.ndarray) -> np.ndarray:
+    """(count, mean, M2, M3, M4) of one block: central power sums about its own mean."""
+    mean = vals.mean()
+    d = vals - mean
+    d2 = d * d
+    return np.array([vals.size, mean, d2.sum(), (d2 * d).sum(), (d2 * d2).sum()])
+
+
+def _merged_stats(parts) -> Stats:
+    """Stats of the union of blocks given as ``_moments`` rows, merged in order.
+
+    Pairwise update of the central sums (Chan, Golub & LeVeque 1979; Pebay,
+    SAND2008-6212), so no raw power sum of a large mean ever cancels.
+    """
+    n, mean, m2, m3, m4 = parts[0]
+    for nb, mean_b, m2b, m3b, m4b in parts[1:]:
+        na, n = n, n + nb
+        delta = mean_b - mean
+        dn = delta / n
+        m4 = (m4 + m4b + delta * dn**3 * na * nb * (na * na - na * nb + nb * nb)
+              + 6.0 * dn**2 * (na * na * m2b + nb * nb * m2) + 4.0 * dn * (na * m3b - nb * m3))
+        m3 = m3 + m3b + delta * dn**2 * na * nb * (na - nb) + 3.0 * dn * (na * m2b - nb * m2)
+        m2 = m2 + m2b + delta * dn * na * nb
+        mean = mean + dn * nb
+    m = int(n)
+    var = m2 / (m - 1) if m > 1 else 0.0
     se = math.sqrt(var / m) if m > 1 else 0.0
-    m4 = s4 / m - 4 * mean * s3 / m + 6 * mean**2 * s2 / m - 3 * mean**4
-    se_var = math.sqrt(max(m4 - m2**2, 0.0) / m) if m > 1 else 0.0
-    return Stats(mean=mean, se=se, var=var, se_var=se_var, count=m)
+    se_var = math.sqrt(max(m4 / m - (m2 / m) ** 2, 0.0) / m) if m > 1 else 0.0
+    return Stats(mean=float(mean), se=se, var=float(var), se_var=se_var, count=m)
 
 
 @dataclass
@@ -147,18 +168,11 @@ class MonteCarlo:
                     bad = block[~np.isfinite(vals)]
                     raise EstimationError(
                         f"non-finite values of {name!r} on paths {bad[:5].tolist()}")
-                sums[name] = np.array([vals.sum(), (vals**2).sum(),
-                                       (vals**3).sum(), (vals**4).sum()])
+                sums[name] = _moments(vals)
             return sums
 
-        partials = self._map_blocks(worker, blocks)
-        out = {}
-        for name in names:
-            acc = np.zeros(4)
-            for p in partials:  # fixed ascending block order
-                acc += p[name]
-            out[name] = _stats_from_sums(*acc, M)
-        return out
+        partials = self._map_blocks(worker, blocks)   # in ascending block order
+        return {name: _merged_stats([p[name] for p in partials]) for name in names}
 
     # -- expectations ----------------------------------------------------------
 
@@ -304,17 +318,13 @@ class MonteCarlo:
             for s, snap in res["checkpoints"].items():
                 if not np.all(np.isfinite(snap)):
                     raise EstimationError(f"moment blow-up by t = {s * dt:g}")
-                q = np.sum(snap**2, axis=-1)
-                out[s] = np.array([q.sum(), (q**2).sum(), (q**3).sum(), (q**4).sum()])
+                out[s] = _moments(np.sum(snap**2, axis=-1))
             return out
 
         partials = self._map_blocks(worker, blocks)
         rows = []
         for s in steps:
-            acc = np.zeros(4)
-            for p in partials:
-                acc += p[s]
-            st = _stats_from_sums(*acc, M)
+            st = _merged_stats([p[s] for p in partials])
             rows.append((s * dt, st.mean, st.se))
         return rows
 
@@ -349,8 +359,7 @@ class MonteCarlo:
             for lv in levels:
                 pad = np.zeros_like(ref)
                 pad[:, :lv] = finals[lv]
-                d = np.sum((pad - ref) ** 2, axis=-1)
-                sums[lv] = np.array([d.sum(), (d**2).sum(), (d**3).sum(), (d**4).sum()])
+                sums[lv] = _moments(np.sum((pad - ref) ** 2, axis=-1))
             return sums
 
         partials = self._map_blocks(worker, blocks)
@@ -359,10 +368,7 @@ class MonteCarlo:
             if lv == N:
                 rows.append((lv, 0.0, 0.0))
                 continue
-            acc = np.zeros(4)
-            for p in partials:
-                acc += p[lv]
-            st = _stats_from_sums(*acc, M)
+            st = _merged_stats([p[lv] for p in partials])
             rows.append((lv, st.mean, st.se))
         return rows
 

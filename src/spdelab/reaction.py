@@ -2,9 +2,10 @@
 
 The equation has drift b(u)(xi) = psi(u(xi)) and pointwise-multiplication
 noise {sigma(u) x}(xi) = phi(u(xi)) x(xi) for Lipschitz scalar functions
-psi, phi.  This module turns that model into Galerkin coefficient callbacks
-(pseudo-spectral: synthesize on a tensor sine-quadrature grid, apply the
-scalar function pointwise, project back) and derives its exact regularity
+psi, phi.  This module turns that model into one fused Galerkin step,
+``ReactionCallbacks.increment`` (pseudo-spectral: synthesize on a tensor
+sine-quadrature grid by a precomputed table of sampled eigenfunctions, apply
+the scalar functions pointwise, project back) and derives its exact regularity
 profile: K_b is the constant kernel from the drift Lipschitz constant, and
 K_sigma is the explicit per-mode series
 
@@ -19,13 +20,11 @@ sheet sampling happens anywhere.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
 import numpy as np
-from scipy import fft as sp_fft
 
 from .kernels import ConstantKernel, ModeSeriesKernel, RegularityProfile
 from .montecarlo import MonteCarlo, plateau_verdict
@@ -136,26 +135,31 @@ class ReactionDiffusionModel:
 
 
 class _SineTransform:
-    """Tensor DST-I synthesis/projection on the interior quadrature grid.
+    """Synthesis/projection on the interior tensor quadrature grid by one table.
 
     The grid has q interior points per dimension at xi_j = a + L (j+1)/(q+1).
-    The transform pair is exact for fields band-limited below the grid size,
+    ``S[k]`` holds the retained eigenfunction e_k sampled on the grid (per-axis
+    sine tables, tensored in the C order of ``grid()``), so synthesis is
+    ``c @ S`` and projection is the sine quadrature ``h f @ S.T`` with cell
+    volume h.  The pair is exact for fields band-limited below the grid size,
     which is what makes the affine-coefficient case reproduce the analytic
     projection to rounding error.
     """
 
     def __init__(self, domain: RectDomain, modes: np.ndarray, q: int):
-        self.domain = domain
-        self.q = q
-        self.d = domain.d
-        self.L = domain.lengths
-        self.shape = (q,) * self.d
         if np.any(modes > q):
             raise DomainError("quadrature grid too coarse for the retained modes")
-        self.flat_idx = np.ravel_multi_index(tuple((modes - 1).T), self.shape)
-        # synthesis factor 0.5 sqrt(2/L) and projection factor sqrt(L/2)/(q+1) per axis
-        self.synth_factor = float(np.prod(0.5 * np.sqrt(2.0 / self.L)))
-        self.proj_factor = float(np.prod(np.sqrt(self.L / 2.0) / (q + 1)))
+        self.domain = domain
+        self.q = q
+        j = np.arange(1, q + 1)
+        S = np.ones((len(modes), 1))
+        for axis, L in enumerate(domain.lengths):
+            # m j reduced mod 2(q+1) keeps the sine argument in [0, 2 pi)
+            arg = np.outer(modes[:, axis], j) % (2 * (q + 1)) * (np.pi / (q + 1))
+            S = (S[:, :, None] * (np.sqrt(2.0 / L) * np.sin(arg))[:, None, :]
+                 ).reshape(len(modes), -1)
+        self.S = S
+        self.cell = float(np.prod(domain.lengths / (q + 1)))
 
     def grid(self) -> np.ndarray:
         """Quadrature points, shape (q^d, d)."""
@@ -166,34 +170,26 @@ class _SineTransform:
 
     def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
         """(B, n) mode coefficients -> (B, q^d) pointwise field values."""
-        B = coeffs.shape[0]
-        full = np.zeros((B, int(np.prod(self.shape))))
-        full[:, self.flat_idx] = coeffs
-        full = full.reshape((B,) + self.shape)
-        for ax in range(1, self.d + 1):
-            full = sp_fft.dst(full, type=1, axis=ax)
-        return self.synth_factor * full.reshape(B, -1)
+        return coeffs @ self.S
 
     def project(self, field: np.ndarray) -> np.ndarray:
         """(B, q^d) field values -> (B, n) coefficients by sine quadrature."""
-        B = field.shape[0]
-        full = field.reshape((B,) + self.shape)
-        for ax in range(1, self.d + 1):
-            full = sp_fft.dst(full, type=1, axis=ax)
-        return self.proj_factor * full.reshape(B, -1)[:, self.flat_idx]
+        return self.cell * (field @ self.S.T)
 
 
 class ReactionCallbacks:
-    """Pseudo-spectral coefficient maps; duck-typed like a CallbackBundle."""
+    """Pseudo-spectral model step; duck-typed like a CallbackBundle.
+
+    ``increment`` is what the stepper calls.  The per-part maps (``drift``,
+    ``diffusion_apply`` and the two jacobians) are the same projections taken
+    one at a time, for inspection and tests.
+    """
 
     def __init__(self, model: ReactionDiffusionModel):
-        self._model = model
+        self._psi = model.psi
+        self._phi = model.phi
         self._tf = _SineTransform(model.domain, model.spectrum.modes, model.quad_points)
-        # per-thread scratch: parallel workers integrate disjoint path blocks
-        self._local = threading.local()
         has_derivs = model.psi.deriv is not None and model.phi.deriv is not None
-        self.drift = self._drift
-        self.diffusion_apply = self._diffusion_apply
         self.drift_jacobian_apply = self._drift_jac if has_derivs else None
         self.diffusion_jacobian_apply = self._diffusion_jac if has_derivs else None
 
@@ -202,42 +198,36 @@ class ReactionCallbacks:
         return (self.drift_jacobian_apply is not None
                 and self.diffusion_jacobian_apply is not None)
 
-    # Field synthesis is reused across the drift/diffusion/jacobian calls that
-    # the stepper makes with one and the same state (or noise) array.  Holding
-    # the key array alive keeps its identity stable.
-    def _field(self, x):
-        loc = self._local
-        if getattr(loc, "x_key", None) is not x:
-            loc.x_key = x
-            loc.x_field = self._tf.synthesize(x)
-        return loc.x_field
+    def increment(self, x, dw, dt, h=None):
+        """(dx, dh): dx = P[psi(u) dt + phi(u) w], dh = P[(psi'(u) dt + phi'(u) w) h(xi)].
 
-    def _noise_field(self, dw):
-        loc = self._local
-        if getattr(loc, "w_key", None) is not dw:
-            loc.w_key = dw
-            loc.w_field = self._tf.synthesize(dw)
-        return loc.w_field
+        u, w and h(xi) are the fields of x, dw and h; each is synthesized once.
+        dh is None when h is None.
+        """
+        tf = self._tf
+        u = tf.synthesize(x)
+        w = tf.synthesize(dw)
+        dx = tf.project(self._psi.fn(u) * dt + self._phi.fn(u) * w)
+        if h is None:
+            return dx, None
+        rate = self._psi.deriv(u) * dt + self._phi.deriv(u) * w
+        return dx, tf.project(rate * tf.synthesize(h))
 
-    def _drift(self, x):
-        return self._tf.project(self._model.psi.fn(self._field(x)))
+    def drift(self, x):
+        return self._tf.project(self._psi.fn(self._tf.synthesize(x)))
 
-    def _diffusion_apply(self, x, dw):
-        u = self._field(x)
-        w = self._noise_field(dw)
-        return self._tf.project(self._model.phi.fn(u) * w)
+    def diffusion_apply(self, x, dw):
+        tf = self._tf
+        return tf.project(self._phi.fn(tf.synthesize(x)) * tf.synthesize(dw))
 
     def _drift_jac(self, x, h):
-        if self._model.psi.deriv is None:
-            raise ValueError("psi has no derivative; use finite differences instead")
-        return self._tf.project(self._model.psi.deriv(self._field(x)) * self._tf.synthesize(h))
+        tf = self._tf
+        return tf.project(self._psi.deriv(tf.synthesize(x)) * tf.synthesize(h))
 
     def _diffusion_jac(self, x, h, dw):
-        if self._model.phi.deriv is None:
-            raise ValueError("phi has no derivative; use finite differences instead")
-        u = self._field(x)
-        w = self._noise_field(dw)
-        return self._tf.project(self._model.phi.deriv(u) * self._tf.synthesize(h) * w)
+        tf = self._tf
+        return tf.project(self._phi.deriv(tf.synthesize(x)) * tf.synthesize(h)
+                          * tf.synthesize(dw))
 
     def field_on_grid(self, coeffs: np.ndarray):
         """(grid points (q^d, d), field values) for dumping u(xi)."""

@@ -8,7 +8,10 @@ frozen over the step,
 
 A plain Euler-Maruyama scheme is kept for cross-validation.  The derivative
 flow (pathwise linearization along a direction v) is integrated jointly with
-the state using the same noise draws and the same exponential factor.
+the state using the same noise draws and the same exponential factor.  A model
+enters only through one fused map per step, ``cb.increment(x, dw, dt, h)``,
+which returns the nonlinear increment b(x) dt + sigma(x) dW and, along a
+tangent h, its linearization.
 """
 from __future__ import annotations
 
@@ -27,7 +30,7 @@ _CHUNK_FLOAT_BUDGET = 24_000_000
 
 
 class SimulationError(RuntimeError):
-    """Numerical failure (non-finite state) with the offending step index."""
+    """Numerical failure (non-finite state) naming the step range and path ids."""
 
 
 @dataclass(frozen=True)
@@ -94,6 +97,18 @@ class CallbackBundle:
         return (self.drift_jacobian_apply is not None
                 and self.diffusion_jacobian_apply is not None)
 
+    def increment(self, x, dw, dt, h=None):
+        """(dx, dh) of one step: dx = b(x) dt + sigma(x) dw (a missing drift is
+        zero, a missing diffusion the identity); along h,
+        dh = Db(x)h dt + Dsigma(x)h dw, or None when h is None."""
+        dx = self.diffusion_apply(x, dw) if self.diffusion_apply is not None else dw
+        if self.drift is not None:
+            dx = self.drift(x) * dt + dx
+        if h is None:
+            return dx, None
+        return dx, (self.drift_jacobian_apply(x, h) * dt
+                    + self.diffusion_jacobian_apply(x, h, dw))
+
 
 def diagonal_constant_diffusion(phi0: float) -> CallbackBundle:
     """b = 0, sigma = phi0 * Id: the exactly-solvable OU reference model."""
@@ -105,11 +120,19 @@ def diagonal_constant_diffusion(phi0: float) -> CallbackBundle:
     )
 
 
-def _check_finite(x: np.ndarray, step: int):
-    if not np.all(np.isfinite(x)):
-        bad = np.where(~np.isfinite(x).all(axis=-1))[0]
-        raise SimulationError(
-            f"non-finite state at step {step} (batch rows {bad[:5].tolist()}...)")
+def _check_finite(what: str, arr: np.ndarray, path_ids: np.ndarray, k0: int, k1: int):
+    bad = ~np.isfinite(arr).all(axis=-1)
+    if bad.any():
+        raise SimulationError(f"non-finite {what} within steps {k0 + 1}..{k1} "
+                              f"on paths {path_ids[bad][:5].tolist()}")
+
+
+def _linear_update(lambdas: np.ndarray, dt: float, scheme: str) -> Callable:
+    """(state, increment) -> state at the next step; the linear part of the scheme."""
+    if scheme == "exponential_euler":
+        decay = np.exp(-lambdas * dt)
+        return lambda x, dx: decay * (x + dx)
+    return lambda x, dx: x + (-lambdas * x) * dt + dx
 
 
 def step(x: np.ndarray, dt: float, lambdas: np.ndarray, cb: CallbackBundle,
@@ -119,11 +142,7 @@ def step(x: np.ndarray, dt: float, lambdas: np.ndarray, cb: CallbackBundle,
     dw = np.atleast_2d(dw)
     if x.shape[-1] != lambdas.size or dw.shape != x.shape:
         raise ValueError("state / spectrum / noise dimension mismatch")
-    b = cb.drift(x) if cb.drift is not None else 0.0
-    s = cb.diffusion_apply(x, dw) if cb.diffusion_apply is not None else dw
-    if scheme == "exponential_euler":
-        return np.exp(-lambdas * dt) * (x + b * dt + s)
-    return x + (-lambdas * x + b) * dt + s
+    return _linear_update(lambdas, dt, scheme)(x, cb.increment(x, dw, dt)[0])
 
 
 def _chunk_sizes(n_steps: int, batch: int, width: int):
@@ -133,26 +152,6 @@ def _chunk_sizes(n_steps: int, batch: int, width: int):
         size = min(chunk, n_steps - done)
         yield done, size
         done += size
-
-
-class _FlowTracker:
-    """Joint state + linearization stepping with shared noise."""
-
-    def __init__(self, v: np.ndarray, cb: CallbackBundle):
-        if not cb.has_jacobians:
-            raise ValueError(
-                "derivative flow needs drift/diffusion jacobian callbacks; "
-                "use finite differences (coupled pairs) for non-smooth models")
-        self.j = v
-        self.cb = cb
-
-    def advance(self, x, dt, lambdas, dw, scheme):
-        db = self.cb.drift_jacobian_apply(x, self.j)
-        ds = self.cb.diffusion_jacobian_apply(x, self.j, dw)
-        if scheme == "exponential_euler":
-            self.j = np.exp(-lambdas * dt) * (self.j + db * dt + ds)
-        else:
-            self.j = self.j + (-lambdas * self.j + db) * dt + ds
 
 
 def simulate_batch(x0: np.ndarray, path_ids, cfg: SchemeConfig, lambdas: np.ndarray,
@@ -172,14 +171,18 @@ def simulate_batch(x0: np.ndarray, path_ids, cfg: SchemeConfig, lambdas: np.ndar
     path_ids = np.asarray(path_ids, dtype=np.int64)
     n = lambdas.size
     B = path_ids.size
+    if v is not None and not cb.has_jacobians:
+        raise ValueError(
+            "derivative flow needs drift/diffusion jacobian callbacks; "
+            "use finite differences (coupled pairs) for non-smooth models")
     x = np.broadcast_to(np.asarray(x0, dtype=float), (B, n)).copy()
     y = None if y0 is None else np.broadcast_to(np.asarray(y0, dtype=float), (B, n)).copy()
-    flow = None if v is None else _FlowTracker(
-        np.broadcast_to(np.asarray(v, dtype=float), (B, n)).copy(), cb)
+    flow = None if v is None else np.broadcast_to(np.asarray(v, dtype=float), (B, n)).copy()
 
     K = cfg.n_steps
     dt = cfg.realized_dt
     sqdt = np.sqrt(dt)
+    update = _linear_update(lambdas, dt, cfg.scheme)
     checkpoint_steps = set(int(s) for s in checkpoint_steps)
     snaps = {}
     if 0 in checkpoint_steps:
@@ -189,30 +192,30 @@ def simulate_batch(x0: np.ndarray, path_ids, cfg: SchemeConfig, lambdas: np.ndar
 
     reader = noise.open(path_ids)
     k = 0
-    for _, size in _chunk_sizes(K, B, noise.width):
+    for k0, size in _chunk_sizes(K, B, noise.width):
         z = reader.draw(size, n)
         for j in range(size):
             dw = sqdt * z[:, j, :]
+            dx, dflow = cb.increment(x, dw, dt, flow)
             if flow is not None:
-                flow.advance(x, dt, lambdas, dw, cfg.scheme)
-            x_new = step(x, dt, lambdas, cb, dw, cfg.scheme)
+                flow = update(flow, dflow)
             if y is not None:
-                y = step(y, dt, lambdas, cb, dw, cfg.scheme)
-            x = x_new
+                y = update(y, cb.increment(y, dw, dt)[0])
+            x = update(x, dx)
             k += 1
             if k in checkpoint_steps:
                 snaps[k] = x.copy()
             if record is not None:
                 record(k, k * dt, x)
-        _check_finite(x, k)
-        if flow is not None:
-            _check_finite(flow.j, k)
+        for what, arr in (("state", x), ("coupled state", y), ("derivative flow", flow)):
+            if arr is not None:
+                _check_finite(what, arr, path_ids, k0, k)
 
     out = {"x": x}
     if y is not None:
         out["y"] = y
     if flow is not None:
-        out["flow"] = flow.j
+        out["flow"] = flow
     if checkpoint_steps:
         out["checkpoints"] = snaps
     return out

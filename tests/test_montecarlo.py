@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from spdelab import kernels
-from spdelab.functionals import REGISTRY, by_name, constant, coordinate, sin_coordinate
-from spdelab.montecarlo import EstimationError, MonteCarlo, plateau_verdict
+from spdelab.functionals import (REGISTRY, Functional, by_name, constant, coordinate,
+                                 sin_coordinate)
+from spdelab.montecarlo import (EstimationError, MonteCarlo, _merged_stats, _moments,
+                                plateau_verdict)
 from spdelab.noise import NoiseStream
 from spdelab.simulate import diagonal_constant_diffusion
 
@@ -41,7 +43,6 @@ class TestExpect:
 
     def test_nonfinite_values_reported(self):
         mc = ou_mc([1.0])
-        from spdelab.functionals import Functional
         bad = Functional(name="bad", eval=lambda x: np.full(x.shape[0], np.inf),
                          grad=lambda x: np.zeros_like(x), bounded=False,
                          strictly_positive=False, grad_bound=math.inf, floor=0.0)
@@ -197,6 +198,48 @@ class TestReproducibility:
                                 600).to_json()
                 for th in (1, 4)]
         assert reps[0] == reps[1]
+
+    def test_pooled_blocks_thread_invariance(self, rd16_profile, rd16, rd16_callbacks):
+        # batch_size below M, so at threads 2 the blocks run on the pool: a
+        # flow check (gradient) and a pair check (log-Harnack)
+        x, v, y = np.zeros(16), np.eye(16)[0], 0.5 * np.eye(16)[0]
+        t0, lam = rd16_profile.t0, rd16_profile.lambda_sigma
+        reps = []
+        for threads in (1, 2):
+            mc = MonteCarlo(rd16.spectrum.lambdas, rd16_callbacks,
+                            NoiseStream(seed=23, width=16), dt=2e-3, threads=threads,
+                            batch_size=100)
+            reps.append([mc.check_gradient_bound(sin_coordinate(0), x, v, 0.02, t0, 400),
+                         mc.check_log_harnack(sin_coordinate(0, shift=2.0), x, y, 0.02,
+                                              t0, lam, 400)])
+        assert [r.to_json() for r in reps[0]] == [r.to_json() for r in reps[1]]
+
+
+class TestMoments:
+    def test_large_mean_offset(self, rng):
+        # spread 1e-2 about 1e5: raw power sums lose the variance entirely
+        dev = 1e-2 * rng.normal(size=100_000)
+        blocks = np.array_split(dev, 7)
+        ref = _merged_stats([_moments(b) for b in blocks])
+        st = _merged_stats([_moments(1e5 + b) for b in blocks])
+        assert st.count == ref.count == 100_000
+        assert st.mean == pytest.approx(1e5 + ref.mean, rel=1e-15)
+        assert st.var == pytest.approx(ref.var, rel=1e-6)
+        assert st.se_var == pytest.approx(ref.se_var, rel=1e-5)
+        assert ref.var == pytest.approx(dev.var(ddof=1), rel=1e-12)
+        d = dev - dev.mean()
+        m2, m4 = np.mean(d**2), np.mean(d**4)
+        assert ref.se_var == pytest.approx(math.sqrt((m4 - m2**2) / dev.size), rel=1e-10)
+
+    def test_shifted_functional_same_variance_check(self):
+        # the variance gates of check_poincare read the same numbers at offset 1e5
+        mc = ou_mc([1.0, 2.0], seed=7)
+        f = coordinate(0)
+        g = Functional(name="coord1+1e5", eval=lambda x: 1e5 + x[:, 0], grad=f.grad)
+        reps = [mc.check_poincare(fn, np.zeros(2), 0.1, math.inf, 1.0, 2000)
+                for fn in (f, g)]
+        assert reps[1].lhs_hat == pytest.approx(reps[0].lhs_hat, rel=1e-7)
+        assert reps[1].lhs_se == pytest.approx(reps[0].lhs_se, rel=1e-5)
 
 
 class TestConvergence:

@@ -10,7 +10,7 @@ from spdelab.reaction import (ReactionDiffusionModel, ScalarFunctionSpec,
                               check_growth_condition, exact_Ksigma,
                               moment_harness, spot_check_lipschitz,
                               spot_check_square_bounds)
-from spdelab.spectral import DomainError, RectDomain, unit_interval
+from spdelab.spectral import DomainError, RectDomain, eigenfunction_eval, unit_interval
 
 
 def make_model(psi, phi_spec, n=8, q=32, alpha=2.0, domain=None):
@@ -98,6 +98,34 @@ class TestCallbacks:
             errs.append(float(np.max(np.abs(out - expect))))
         assert errs[0] > errs[1] > errs[2]
         assert errs[-1] < 2e-3
+
+    @pytest.mark.parametrize("sides, n, q", [
+        (((0.0, 1.0), (0.5, 2.5)), 6, 12),                  # non-square rectangle
+        (((0.0, 1.0), (0.0, 1.2), (-1.0, -0.1)), 6, 12),   # every axis index varies
+    ])
+    def test_table_layout_matches_eigenfunctions(self, sides, n, q):
+        # the synthesized unit vector e_k is the eigenfunction of modes[k] at
+        # every grid point: an axis-order error in the table would break this
+        model = make_model(ZERO, CONST_PHI, n=n, q=q, domain=RectDomain(sides=sides))
+        cb = build_callbacks(model)
+        for k, m in enumerate(model.spectrum.modes):
+            grid, vals = cb.field_on_grid(np.eye(n)[k])
+            expect = [eigenfunction_eval(model.domain, m, xi) for xi in grid]
+            np.testing.assert_allclose(vals, expect, rtol=0, atol=1e-13)
+
+    def test_increment_composes_part_maps(self, rng):
+        cb = build_callbacks(make_model(ATAN_PSI, SIN_PHI, n=8, q=32))
+        x, dw, h = rng.normal(size=(3, 5, 8))
+        dt = 1e-3
+        dx, dh = cb.increment(x, dw, dt, h)
+        np.testing.assert_allclose(dx, cb.drift(x) * dt + cb.diffusion_apply(x, dw),
+                                   rtol=0, atol=1e-14)
+        np.testing.assert_allclose(
+            dh, cb.drift_jacobian_apply(x, h) * dt + cb.diffusion_jacobian_apply(x, h, dw),
+            rtol=0, atol=1e-14)
+        dx_only, none = cb.increment(x, dw, dt)
+        np.testing.assert_array_equal(dx_only, dx)
+        assert none is None
 
     def test_jacobians_absent_without_derivative(self):
         table = ScalarFunctionSpec.custom(np.abs, lipschitz=1.0, inf_sq=0.0,

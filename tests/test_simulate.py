@@ -74,6 +74,18 @@ class TestStep:
         with pytest.raises(SimulationError, match="step"):
             simulate_batch(np.zeros(1), [0], cfg, np.ones(1), cb, noise)
 
+    def test_nonfinite_coupled_state_names_paths_and_steps(self):
+        # x0 = 0 is a fixed point of the model; only y, started at 1, blows up
+        cb = CallbackBundle(drift=lambda x: 1e3 * x * x,
+                            diffusion_apply=lambda x, w: x * w)
+        noise = NoiseStream(seed=0, width=1)
+        cfg = SchemeConfig(dt=1e-2, t_end=0.5)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(SimulationError,
+                               match=r"coupled state within steps 1\.\.50 on paths \[10, 11, 12\]"):
+                simulate_batch(np.zeros(1), [10, 11, 12], cfg, np.ones(1), cb, noise,
+                               y0=np.ones(1))
+
 
 class TestSimulatePath:
     def test_zero_horizon_returns_x0(self):
