@@ -7,13 +7,9 @@ from .kernels import (
     ModeSeriesKernel,
     PowerSeriesKernel,
     RegularityProfile,
-    compute_t0,
-    epsilon_integrability,
-    eval_kernel,
     gradient_constant,
     logharnack_constant,
     logharnack_constant_from_phi,
-    phi,
     poincare_constant,
 )
 from .montecarlo import CheckReport, MonteCarlo, plateau_verdict
@@ -31,38 +27,27 @@ from .simulate import (
     CallbackBundle,
     SchemeConfig,
     SimulationError,
-    coupled_pair,
-    derivative_flow,
     diagonal_constant_diffusion,
     ou_exact,
     simulate_batch,
-    simulate_path,
-    step,
 )
 from .spectral import (
     DomainError,
     EigenSpectrum,
-    GalerkinState,
     RectDomain,
     eigenfunction_eval,
     eigenvalue,
-    project,
-    semigroup_factor,
     unit_interval,
 )
 
 __all__ = [
     "CallbackBundle", "CheckReport", "ConstantKernel", "DomainError",
-    "EigenSpectrum", "GalerkinState", "Kernel", "KernelError",
-    "ModeSeriesKernel", "MonteCarlo", "NoiseStream", "PowerSeriesKernel",
-    "ReactionDiffusionModel", "RectDomain", "RegularityProfile",
-    "ScalarFunctionSpec", "SchemeConfig", "SimulationError",
+    "EigenSpectrum", "Kernel", "KernelError", "ModeSeriesKernel", "MonteCarlo",
+    "NoiseStream", "PowerSeriesKernel", "ReactionDiffusionModel", "RectDomain",
+    "RegularityProfile", "ScalarFunctionSpec", "SchemeConfig", "SimulationError",
     "build_callbacks", "build_profile", "check_growth_condition",
-    "compute_t0", "coupled_pair", "derivative_flow",
     "diagonal_constant_diffusion", "eigenfunction_eval", "eigenvalue",
-    "epsilon_integrability", "eval_kernel", "exact_Ksigma",
-    "gradient_constant", "logharnack_constant", "logharnack_constant_from_phi",
-    "moment_harness", "ou_exact", "phi", "plateau_verdict",
-    "poincare_constant", "project", "semigroup_factor", "simulate_batch",
-    "simulate_path", "step", "unit_interval",
+    "exact_Ksigma", "gradient_constant", "logharnack_constant",
+    "logharnack_constant_from_phi", "moment_harness", "ou_exact",
+    "plateau_verdict", "poincare_constant", "simulate_batch", "unit_interval",
 ]

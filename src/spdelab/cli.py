@@ -23,13 +23,13 @@ import numpy as np
 from . import kernels, presets
 from .functionals import by_name as functional_by_name
 from .kernels import ConstantKernel, RegularityProfile
-from .montecarlo import EstimationError, MonteCarlo
+from .montecarlo import EstimationError, MonteCarlo, plateau_verdict
 from .noise import NoiseStream
 from .reaction import (ReactionDiffusionModel, ScalarFunctionSpec, build_callbacks,
                        build_profile, check_growth_condition, moment_harness,
                        spot_check_lipschitz, spot_check_square_bounds)
 from .simulate import SchemeConfig, SimulationError, simulate_batch
-from .spectral import DomainError, RectDomain
+from .spectral import RectDomain
 
 EXIT_PASS = 0
 EXIT_STAT_FAIL = 1
@@ -114,21 +114,33 @@ _PRESETS = {
 }
 
 
+def _read_ini(path: str, what: str) -> configparser.ConfigParser:
+    cp = configparser.ConfigParser()
+    try:
+        read = cp.read(path)
+    except configparser.Error as e:
+        raise ConfigError(f"could not parse {what} {path!r}: {e.message.splitlines()[0]}") from e
+    if not read:
+        raise ConfigError(f"could not read {what} {path!r}")
+    return cp
+
+
 def load_model(spec: str) -> ModelHandle:
     if spec.startswith("preset:"):
         name = spec.split(":", 1)[1]
         if name not in _PRESETS:
             raise ConfigError(f"unknown preset {name!r}; known: {sorted(_PRESETS)}")
         return _PRESETS[name]()
-    cp = configparser.ConfigParser()
-    read = cp.read(spec)
-    if not read or not cp.sections():
+    cp = _read_ini(spec, "model file")
+    if not cp.sections():
         raise ConfigError(f"could not parse model file {spec!r}")
     kind = cp.get("model", "kind", fallback="reaction_diffusion")
     if kind == "ou":
-        if "ou" not in cp:
-            raise ConfigError("ou model file needs an [ou] section")
-        lambdas = [float(v) for v in cp["ou"]["lambdas"].replace(",", " ").split()]
+        if "ou" not in cp or "lambdas" not in cp["ou"]:
+            raise ConfigError("ou model file needs an [ou] section with lambdas")
+        lambdas = _floats(cp["ou"]["lambdas"])
+        if not lambdas or min(lambdas) <= 0:
+            raise ConfigError("ou lambdas must be positive")
         phi0 = float(cp["ou"].get("phi0", "1.0"))
         return ModelHandle("ou", spec, ou=presets.OUPreset(lambdas, phi0))
     if kind != "reaction_diffusion":
@@ -136,12 +148,11 @@ def load_model(spec: str) -> ModelHandle:
     for sec in ("domain", "alpha", "psi", "phi", "galerkin"):
         if sec not in cp:
             raise ConfigError(f"model file missing [{sec}] section")
-    d = cp["domain"].getint("d", fallback=1)
-    sides = []
-    for i in range(d):
-        raw = cp["domain"].get(f"side_{i}", "0 1").replace(",", " ").split()
-        sides.append((float(raw[0]), float(raw[1])))
     try:
+        sides = []
+        for i in range(cp["domain"].getint("d", fallback=1)):
+            raw = cp["domain"].get(f"side_{i}", "0 1").replace(",", " ").split()
+            sides.append((float(raw[0]), float(raw[1])))
         model = ReactionDiffusionModel(
             domain=RectDomain(sides=tuple(sides)),
             alpha=float(cp["alpha"]["value"]),
@@ -150,7 +161,7 @@ def load_model(spec: str) -> ModelHandle:
             n=cp["galerkin"].getint("n"),
             quad_points=cp["galerkin"].getint("quad_points"),
         )
-    except (DomainError, KeyError, TypeError, ValueError) as e:
+    except (IndexError, KeyError, TypeError, ValueError) as e:
         raise ConfigError(f"invalid model file {spec!r}: {e}") from e
     return ModelHandle("reaction", spec, reaction=model)
 
@@ -169,10 +180,7 @@ _DEFAULTS = {
 def load_experiment(path: str | None) -> dict:
     cfg = dict(_DEFAULTS)
     if path:
-        cp = configparser.ConfigParser()
-        read = cp.read(path)
-        if not read:
-            raise ConfigError(f"could not read config file {path!r}")
+        cp = _read_ini(path, "config file")
         if "experiment" in cp:
             for key, val in cp["experiment"].items():
                 cfg[key.lower()] = val
@@ -199,8 +207,11 @@ def _vector(raw: str, n: int) -> np.ndarray:
     elif raw == "ones":
         vec = np.ones(n)
     elif raw.startswith("e") and raw[1:].isdigit():
+        i = int(raw[1:])
+        if not 1 <= i <= n:
+            raise ConfigError(f"unit vector {raw!r} outside e1..e{n}")
         vec = np.zeros(n)
-        vec[int(raw[1:]) - 1] = 1.0
+        vec[i - 1] = 1.0
     elif raw == "random":
         g = np.random.default_rng(2024).normal(size=n)
         vec = g / np.linalg.norm(g)
@@ -219,18 +230,19 @@ def _write(out_path: str | None, text: str):
         sys.stdout.write(text)
 
 
-def _make_mc(handle: ModelHandle, cfg: dict, seed: int, threads: int,
-             width: int | None = None) -> MonteCarlo:
-    noise = NoiseStream(seed=seed, width=width or handle.n)
-    return MonteCarlo(handle.lambdas, handle.callbacks(), noise,
-                      dt=float(cfg["dt"]), scheme=cfg["scheme"], threads=threads,
-                      batch_size=int(cfg["batch_size"]))
+def _make_mc(cfg: dict, lambdas: np.ndarray, callbacks) -> MonteCarlo:
+    noise = NoiseStream(seed=int(cfg["seed"]), width=lambdas.size)
+    return MonteCarlo(lambdas, callbacks, noise, dt=float(cfg["dt"]), scheme=cfg["scheme"],
+                      threads=int(cfg["threads"]), batch_size=int(cfg["batch_size"]))
 
 
 # -- commands --------------------------------------------------------------------
+#
+# Each command takes the loaded model, the experiment config (with --seed and
+# --threads already applied) and the parsed flags, and returns an exit code;
+# ``main`` turns the errors they raise into exit codes 2 and 3.
 
-def cmd_validate(args) -> int:
-    handle = load_model(args.model)
+def cmd_validate(handle: ModelHandle, cfg: dict, args) -> int:
     profile = handle.profile()
     t_grid = [0.01, 0.1, 0.5, 1.0]
     verdicts = {}
@@ -268,9 +280,7 @@ def cmd_validate(args) -> int:
     return EXIT_PASS
 
 
-def cmd_constants(args) -> int:
-    handle = load_model(args.model)
-    cfg = load_experiment(args.config)
+def cmd_constants(handle: ModelHandle, cfg: dict, args) -> int:
     profile = handle.profile()
     rows = []
     for t in _floats(cfg["t"]):
@@ -292,13 +302,9 @@ def cmd_constants(args) -> int:
     return EXIT_PASS
 
 
-def cmd_check(args) -> int:
-    handle = load_model(args.model)
-    cfg = load_experiment(args.config)
+def cmd_check(handle: ModelHandle, cfg: dict, args) -> int:
     profile = handle.profile()
-    seed = args.seed if args.seed is not None else int(cfg["seed"])
-    threads = args.threads if args.threads is not None else int(cfg["threads"])
-    mc = _make_mc(handle, cfg, seed, threads)
+    mc = _make_mc(cfg, handle.lambdas, handle.callbacks())
     n = handle.n
     f = functional_by_name(cfg["f"])
     x = _vector(cfg["x"], n)
@@ -314,35 +320,21 @@ def cmd_check(args) -> int:
     if which == "poincare" and profile.lambda_bar_sigma is None:
         print("assumption failed: sigma_bounded_above", file=sys.stderr)
         return EXIT_CONFIG
-    try:
-        if which == "gradient":
-            rep = mc.check_gradient_bound(f, x, v, t, profile.t0, M, k)
-        elif which == "logharnack":
-            rep = mc.check_log_harnack(f, x, y, t, profile.t0, profile.lambda_sigma, M, k)
-        elif which == "variance":
-            rep = mc.check_variance_gradient(f, x, v, t, profile.t0,
-                                             profile.lambda_sigma, M, k)
-        elif which == "poincare":
-            rep = mc.check_poincare(f, x, t, profile.t0, profile.lambda_bar_sigma, M, k)
-        elif which == "flowbound":
-            rep = mc.check_flow_bound(x, v, t, profile.t0, M, k)
-        else:
-            raise ConfigError(f"unknown check {which!r}")
-    except ValueError as e:
-        print(f"configuration error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (SimulationError, EstimationError) as e:
-        print(f"numerical failure: {e}", file=sys.stderr)
-        return EXIT_NUMERIC
+    if which == "gradient":
+        rep = mc.check_gradient_bound(f, x, v, t, profile.t0, M, k)
+    elif which == "logharnack":
+        rep = mc.check_log_harnack(f, x, y, t, profile.t0, profile.lambda_sigma, M, k)
+    elif which == "variance":
+        rep = mc.check_variance_gradient(f, x, v, t, profile.t0, profile.lambda_sigma, M, k)
+    elif which == "poincare":
+        rep = mc.check_poincare(f, x, t, profile.t0, profile.lambda_bar_sigma, M, k)
+    else:
+        rep = mc.check_flow_bound(x, v, t, profile.t0, M, k)
     _write(args.out, rep.to_json() + "\n")
     return EXIT_PASS if rep.passed else EXIT_STAT_FAIL
 
 
-def cmd_converge(args) -> int:
-    handle = load_model(args.model)
-    cfg = load_experiment(args.config)
-    seed = args.seed if args.seed is not None else int(cfg["seed"])
-    threads = args.threads if args.threads is not None else int(cfg["threads"])
+def cmd_converge(handle: ModelHandle, cfg: dict, args) -> int:
     n_list = _ints(cfg["n_list"])
     N = int(cfg["bign"])
     if handle.kind == "ou":
@@ -362,17 +354,10 @@ def cmd_converge(args) -> int:
                                          quad_points=max(base.quad_points, 2 * N))
             return sub.spectrum.lambdas, build_callbacks(sub)
 
-    noise = NoiseStream(seed=seed, width=N)
-    lams_N, cb_N = build(N)
-    mc = MonteCarlo(lams_N, cb_N, noise, dt=float(cfg["dt"]), scheme=cfg["scheme"],
-                    threads=threads, batch_size=int(cfg["batch_size"]))
+    mc = _make_mc(cfg, *build(N))
     x0 = _vector(cfg["x"], N)
     t = _floats(cfg["t"])[0]
-    try:
-        rows = mc.convergence_study(build, n_list, N, x0, t, int(cfg["m"]))
-    except (SimulationError, EstimationError) as e:
-        print(f"numerical failure: {e}", file=sys.stderr)
-        return EXIT_NUMERIC
+    rows = mc.convergence_study(build, n_list, N, x0, t, int(cfg["m"]))
     buf = io.StringIO()
     buf.write("n,error,stderr\n")
     for n, err, se in rows:
@@ -381,48 +366,33 @@ def cmd_converge(args) -> int:
     return EXIT_PASS
 
 
-def cmd_invariant(args) -> int:
-    handle = load_model(args.model)
-    cfg = load_experiment(args.config)
-    seed = args.seed if args.seed is not None else int(cfg["seed"])
-    threads = args.threads if args.threads is not None else int(cfg["threads"])
+def cmd_invariant(handle: ModelHandle, cfg: dict, args) -> int:
     t_end = float(cfg["t_end"])
     n_checks = int(cfg["checkpoints"])
     checkpoints = [t_end * (i + 1) / n_checks for i in range(n_checks)] if t_end > 0 else [0.0]
     M = int(cfg["m"])
     out: dict = {"model": handle.name, "M": M, "dt": _jsonable(float(cfg["dt"])),
-                 "seed": seed}
+                 "seed": int(cfg["seed"])}
     if handle.kind == "reaction":
         eps0, C0 = float(cfg["eps0"]), float(cfg["c0"])
         growth_ok = check_growth_condition(handle.reaction, eps0, C0)
         out["growth_condition"] = {"eps0": _jsonable(eps0), "C0": _jsonable(C0),
                                    "holds": growth_ok}
-        prof = handle.profile()
         eps = float(cfg["eps"])
-        finite, value = kernels.epsilon_integrability(prof.Ksigma, eps)
+        finite, value = handle.profile().Ksigma.epsilon_integral(eps)
         out["epsilon_integrability"] = {"eps": _jsonable(eps), "finite": finite,
                                         "value": _jsonable(value) if finite else "inf"}
         if not growth_ok:
             out["verdict"] = "growth-condition-failed"
             _write(args.out, json.dumps(out, sort_keys=True, indent=1) + "\n")
             return EXIT_CONFIG
-        noise = NoiseStream(seed=seed, width=handle.n)
-        try:
-            rows, verdict = moment_harness(handle.reaction, t_end, checkpoints, M,
-                                           noise, dt=float(cfg["dt"]),
-                                           scheme=cfg["scheme"], threads=threads)
-        except (SimulationError, EstimationError) as e:
-            print(f"numerical failure: {e}", file=sys.stderr)
-            return EXIT_NUMERIC
+        noise = NoiseStream(seed=int(cfg["seed"]), width=handle.n)
+        rows, verdict = moment_harness(handle.reaction, t_end, checkpoints, M, noise,
+                                       dt=float(cfg["dt"]), scheme=cfg["scheme"],
+                                       threads=int(cfg["threads"]))
     else:
-        mc = _make_mc(handle, cfg, seed, threads)
-        x0 = _vector(cfg["x"], handle.n)
-        try:
-            rows = mc.second_moment_curve(x0, t_end, checkpoints, M)
-        except (SimulationError, EstimationError) as e:
-            print(f"numerical failure: {e}", file=sys.stderr)
-            return EXIT_NUMERIC
-        from .montecarlo import plateau_verdict
+        mc = _make_mc(cfg, handle.lambdas, handle.callbacks())
+        rows = mc.second_moment_curve(_vector(cfg["x"], handle.n), t_end, checkpoints, M)
         verdict = plateau_verdict(rows)
         out["stationary_tail_sum"] = _jsonable(handle.ou.stationary_moment())
     out["rows"] = [{"t": _jsonable(t), "moment": _jsonable(m), "stderr": _jsonable(s)}
@@ -432,11 +402,8 @@ def cmd_invariant(args) -> int:
     return EXIT_PASS
 
 
-def cmd_dump_trajectories(args) -> int:
-    handle = load_model(args.model)
-    cfg = load_experiment(args.config)
-    seed = args.seed if args.seed is not None else int(cfg["seed"])
-    noise = NoiseStream(seed=seed, width=handle.n)
+def cmd_dump_trajectories(handle: ModelHandle, cfg: dict, args) -> int:
+    noise = NoiseStream(seed=int(cfg["seed"]), width=handle.n)
     scfg = SchemeConfig(dt=float(cfg["dt"]), t_end=float(cfg["t_end"]),
                         scheme=cfg["scheme"])
     x0 = _vector(cfg["x"], handle.n)
@@ -454,11 +421,9 @@ def cmd_dump_trajectories(args) -> int:
     return EXIT_PASS
 
 
-def cmd_dump_field(args) -> int:
-    handle = load_model(args.model)
+def cmd_dump_field(handle: ModelHandle, cfg: dict, args) -> int:
     if handle.kind != "reaction":
         raise ConfigError("field dumps need a reaction-diffusion model")
-    cfg = load_experiment(args.config)
     coeffs = _vector(cfg["x"], handle.n)
     cb = build_callbacks(handle.reaction)
     grid, vals = cb.field_on_grid(coeffs)
@@ -511,11 +476,15 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
-    except ConfigError as e:
+        handle = load_model(args.model)
+        cfg = load_experiment(args.config)
+        for key in ("seed", "threads"):
+            if getattr(args, key) is not None:
+                cfg[key] = str(getattr(args, key))
+        return _COMMANDS[args.command](handle, cfg, args)
+    except ValueError as e:  # ConfigError, DomainError and KernelError included
         print(f"configuration error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except (SimulationError, EstimationError) as e:

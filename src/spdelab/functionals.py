@@ -75,7 +75,6 @@ REGISTRY: dict[str, Callable[[], Functional]] = {
 
 
 def by_name(name: str) -> Functional:
-    try:
-        return REGISTRY[name]()
-    except KeyError:
-        raise KeyError(f"unknown functional {name!r}; known: {sorted(REGISTRY)}") from None
+    if name not in REGISTRY:
+        raise ValueError(f"unknown functional {name!r}; known: {sorted(REGISTRY)}")
+    return REGISTRY[name]()

@@ -323,23 +323,6 @@ class ModeSeriesKernel(Kernel):
         return True, float(terms.sum()) + 0.5 * tail
 
 
-# -- spec-facing functional surface ------------------------------------------
-
-def eval_kernel(kernel: Kernel, t):
-    """K(t) for t > 0 (t >= 0 allowed for constant kernels)."""
-    return kernel.value(t)
-
-
-def phi(kernel: Kernel, t):
-    """Running integral phi(t) = int_0^t K(s) ds; phi(0) = 0."""
-    return kernel.integral(t)
-
-
-def epsilon_integrability(kernel: Kernel, eps: float) -> tuple[bool, float]:
-    """int_0^1 s^{-eps} K(s) ds with the exponent-threshold finiteness test."""
-    return kernel.epsilon_integral(eps)
-
-
 T0_HORIZON = 1e9
 _T0_TOL = 1e-12
 
@@ -393,11 +376,6 @@ class RegularityProfile:
         object.__setattr__(self, "t0_exact", exact)
 
 
-def compute_t0(profile: RegularityProfile) -> float:
-    """Largest t with phi_b(t) + phi_sigma(t) <= 1/6 (math.inf if never exceeded)."""
-    return _t0_from_kernels(profile.Kb, profile.Ksigma)[0]
-
-
 def gradient_constant(t: float, t0: float) -> float:
     """6^{1 + t/t0}; the constant collapses to 6 for t0 = inf."""
     if t < 0:
@@ -445,13 +423,3 @@ def logharnack_constant_from_phi(t0: float, t: float, lambda_sigma: float) -> fl
     if not np.isfinite(val) or val <= 0 or err > max(1e-10, 1e-8 * val):
         raise KernelError("quadrature of the gradient envelope did not converge")
     return 1.0 / (2.0 * lambda_sigma * val)
-
-
-def interpolation_schedule(t0: float, t: float, s):
-    """Optimal interpolation schedule h_s = int_0^s Phi^{-1} / int_0^t Phi^{-1}."""
-    s_arr, scalar = _as_time_array(s, positive=False)
-    if math.isinf(t0):
-        out = s_arr / t
-    else:
-        out = (1.0 - 6.0 ** (-s_arr / t0)) / (1.0 - 6.0 ** (-t / t0))
-    return _maybe_scalar(out, scalar)

@@ -49,9 +49,6 @@ class ScalarFunctionSpec:
     sup_sq: float
     growth_sq_slope: float = 0.0
 
-    def __call__(self, s):
-        return self.fn(s)
-
     @classmethod
     def affine(cls, a: float, b: float) -> "ScalarFunctionSpec":
         return cls(name=f"affine({a:g},{b:g})",

@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .noise import NoiseStream
-from .spectral import GalerkinState
+from .spectral import DomainError
 
 SCHEMES = ("exponential_euler", "euler_maruyama")
 
@@ -63,18 +63,6 @@ class SchemeConfig:
     def realized_dt(self) -> float:
         k = self.n_steps
         return self.t_end / k if k else self.dt
-
-
-def default_dt(lambdas, scheme: str = "exponential_euler") -> float:
-    """Default step size policy.
-
-    Euler-Maruyama must resolve the stiffest retained mode (0.1/lambda_max);
-    the exponential scheme treats the linear part exactly, so it only needs
-    to resolve the nonlinearity.
-    """
-    if scheme == "euler_maruyama":
-        return min(1e-3, 0.1 / float(np.max(lambdas)))
-    return 1e-3
 
 
 @dataclass(frozen=True)
@@ -133,16 +121,6 @@ def _linear_update(lambdas: np.ndarray, dt: float, scheme: str) -> Callable:
         decay = np.exp(-lambdas * dt)
         return lambda x, dx: decay * (x + dx)
     return lambda x, dx: x + (-lambdas * x) * dt + dx
-
-
-def step(x: np.ndarray, dt: float, lambdas: np.ndarray, cb: CallbackBundle,
-         dw: np.ndarray, scheme: str = "exponential_euler") -> np.ndarray:
-    """One scheme step for a batch of states (B, n) with noise increment dw."""
-    x = np.atleast_2d(x)
-    dw = np.atleast_2d(dw)
-    if x.shape[-1] != lambdas.size or dw.shape != x.shape:
-        raise ValueError("state / spectrum / noise dimension mismatch")
-    return _linear_update(lambdas, dt, scheme)(x, cb.increment(x, dw, dt)[0])
 
 
 def _chunk_sizes(n_steps: int, batch: int, width: int):
@@ -221,31 +199,6 @@ def simulate_batch(x0: np.ndarray, path_ids, cfg: SchemeConfig, lambdas: np.ndar
     return out
 
 
-# -- single-path conveniences --------------------------------------------------
-
-def simulate_path(x0: GalerkinState, cfg: SchemeConfig, lambdas, cb: CallbackBundle,
-                  noise: NoiseStream, path_id: int) -> GalerkinState:
-    """One path to t_end; bit-deterministic in (seed, path_id, scheme, model)."""
-    res = simulate_batch(x0.coeffs, [path_id], cfg, np.asarray(lambdas, float), cb, noise)
-    return GalerkinState(res["x"][0])
-
-
-def derivative_flow(x0: GalerkinState, v: GalerkinState, cfg: SchemeConfig, lambdas,
-                    cb: CallbackBundle, noise: NoiseStream, path_id: int):
-    """Jointly integrate the state and its linearization along v."""
-    res = simulate_batch(x0.coeffs, [path_id], cfg, np.asarray(lambdas, float), cb,
-                         noise, v=v.coeffs)
-    return GalerkinState(res["x"][0]), GalerkinState(res["flow"][0])
-
-
-def coupled_pair(x0: GalerkinState, y0: GalerkinState, cfg: SchemeConfig, lambdas,
-                 cb: CallbackBundle, noise: NoiseStream, path_id: int):
-    """Two starts driven by identical noise draws (common random numbers)."""
-    res = simulate_batch(x0.coeffs, [path_id], cfg, np.asarray(lambdas, float), cb,
-                         noise, y0=y0.coeffs)
-    return GalerkinState(res["x"][0]), GalerkinState(res["y"][0])
-
-
 def ou_exact(x0, t: float, lambdas, phi0: float):
     """Exact transition moments for b = 0, sigma = phi0 * Id.
 
@@ -253,7 +206,7 @@ def ou_exact(x0, t: float, lambdas, phi0: float):
     var_i  = phi0^2 (1 - e^{-2 lambda_i t}) / (2 lambda_i)   (phi0^2 t at lambda = 0).
     """
     if t < 0:
-        raise ValueError("t must be non-negative")
+        raise DomainError("t must be non-negative")
     lam = np.asarray(lambdas, dtype=float)
     x0 = np.broadcast_to(np.asarray(x0, dtype=float), lam.shape)
     mean = np.exp(-lam * t) * x0
@@ -262,13 +215,3 @@ def ou_exact(x0, t: float, lambdas, phi0: float):
                        phi0**2 * -np.expm1(-2.0 * lam * t) / np.where(lam > 0, 2.0 * lam, 1.0),
                        phi0**2 * t)
     return mean, var
-
-
-def scheme_variance(t: float, dt: float, lam: float, phi0: float) -> float:
-    """Exact per-mode variance produced by the exponential Euler chain itself."""
-    K = max(1, round(t / dt))
-    h = t / K
-    e = np.exp(-2.0 * lam * h)
-    if lam == 0:
-        return phi0**2 * t
-    return phi0**2 * h * e * (1.0 - e**K) / (1.0 - e)

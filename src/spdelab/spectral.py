@@ -87,18 +87,6 @@ def eigenfunction_eval(domain: RectDomain, m, xi) -> float:
     return float(np.prod(vals))
 
 
-def semigroup_factor(t, lam):
-    """Diagonal heat-semigroup factor e^{-lambda t} for t >= 0."""
-    t_arr = np.asarray(t, dtype=float)
-    lam_arr = np.asarray(lam, dtype=float)
-    if np.any(t_arr < 0):
-        raise DomainError("semigroup time must be non-negative")
-    if np.any(lam_arr < 0):
-        raise DomainError("eigenvalue must be non-negative")
-    out = np.exp(-lam_arr * t_arr)
-    return float(out) if out.ndim == 0 else out
-
-
 def _enumerate_sorted_modes(domain: RectDomain, alpha: float, n: int):
     """First n multi-indices sorted by eigenvalue, ties broken lexicographically."""
     d = domain.d
@@ -129,8 +117,9 @@ def _enumerate_sorted_modes(domain: RectDomain, alpha: float, n: int):
 class EigenSpectrum:
     """Truncated spectrum: the first n modes in the canonical ordering.
 
-    ``modes`` is None for abstract spectra supplied as a raw eigenvalue list
-    (used by the OU oracle and toy models).
+    ``synthesize`` fills in the rectangle, alpha and the multi-index of every
+    retained mode; built from a bare eigenvalue list, ``modes`` is None.  The
+    OU presets do not use this class: they carry a plain eigenvalue array.
     """
 
     lambdas: np.ndarray
@@ -158,38 +147,3 @@ class EigenSpectrum:
             raise DomainError("need at least one mode")
         modes, lams = _enumerate_sorted_modes(domain, alpha, n)
         return cls(lambdas=lams, alpha=alpha, domain=domain, modes=modes)
-
-    @classmethod
-    def from_lambdas(cls, lambdas) -> "EigenSpectrum":
-        lam = np.sort(np.asarray(lambdas, dtype=float))
-        return cls(lambdas=lam)
-
-
-@dataclass(frozen=True)
-class GalerkinState:
-    """Coefficient vector of a snapshot in span{e_1, ..., e_n}."""
-
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=float)
-        if c.ndim != 1:
-            raise DomainError("coefficients must be a 1-d vector")
-        object.__setattr__(self, "coeffs", c)
-
-    @property
-    def n(self) -> int:
-        return self.coeffs.size
-
-    def norm(self) -> float:
-        # Parseval: the H-norm of the represented element.
-        return float(np.linalg.norm(self.coeffs))
-
-
-def project(state: GalerkinState, n: int) -> GalerkinState:
-    """Orthogonal projection onto the first n modes (truncation)."""
-    if n > state.n:
-        raise DomainError(f"cannot project {state.n} modes onto {n}")
-    if n < 0:
-        raise DomainError("mode count must be non-negative")
-    return GalerkinState(coeffs=state.coeffs[:n].copy())

@@ -12,10 +12,8 @@ import pytest
 from spdelab import presets
 from spdelab.cli import main
 from spdelab.functionals import constant, sin_coordinate
-from spdelab.kernels import (ConstantKernel, RegularityProfile,
-                             epsilon_integrability, logharnack_constant,
-                             logharnack_constant_from_phi, phi,
-                             PowerSeriesKernel)
+from spdelab.kernels import (ConstantKernel, RegularityProfile, logharnack_constant,
+                             logharnack_constant_from_phi, PowerSeriesKernel)
 from spdelab.montecarlo import MonteCarlo
 from spdelab.noise import NoiseStream
 from spdelab.reaction import (ReactionDiffusionModel, ScalarFunctionSpec,
@@ -54,7 +52,7 @@ def test_criterion_2_t0_oracle(rd16_profile):
         ok &= abs(p.t0 - 1.0 / (6 * (a + b))) <= 1e-9
     t0 = rd16_profile.t0
     ts = np.arange(t0 - 5e-4, t0 + 5e-4, 1e-6)
-    total = phi(rd16_profile.Kb, ts) + phi(rd16_profile.Ksigma, ts)
+    total = rd16_profile.Kb.integral(ts) + rd16_profile.Ksigma.integral(ts)
     scan = ts[np.searchsorted(total, 1.0 / 6.0)]
     ok &= abs(t0 - scan) <= 1e-5
     report("criterion 2: critical time oracle",
@@ -176,9 +174,9 @@ def test_criterion_7_alpha_threshold():
                                    psi=ScalarFunctionSpec.affine(0.0, 0.0),
                                    phi=ScalarFunctionSpec.sin_perturbed(1.0, 0.1, 1.0),
                                    n=8, quad_points=32)
-    finite_rect, value_rect = epsilon_integrability(exact_Ksigma(model), 0.5)
-    finite_ka, value_ka = epsilon_integrability(
-        PowerSeriesKernel(C=1.0, delta=1.0, p=2.0, mode_factor=True), 0.5)
+    finite_rect, value_rect = exact_Ksigma(model).epsilon_integral(0.5)
+    finite_ka, value_ka = PowerSeriesKernel(
+        C=1.0, delta=1.0, p=2.0, mode_factor=True).epsilon_integral(0.5)
     ok = finite_rect and math.isfinite(value_rect) and not finite_ka and value_ka == math.inf
     report("criterion 7: integrability dichotomy across the smoothing threshold",
            ok, f"rectangle value {value_rect:.4g}; steep-growth form divergent")

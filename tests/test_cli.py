@@ -220,3 +220,43 @@ class TestDumps:
 
 def test_unknown_preset():
     assert main(["validate", "--model", "preset:nope"]) == 2
+
+
+@pytest.mark.parametrize("argv, cfg", [
+    (["constants", "--model", "preset:ou8"], dict(t="-0.1")),
+    (["check", "gradient", "--model", "preset:ou8"], dict(f="nosuch", m="10")),
+    (["check", "flowbound", "--model", "preset:ou8"], dict(v="e9", m="10")),
+    (["check", "flowbound", "--model", "preset:ou8"], dict(v="e0", m="10")),
+    (["invariant", "--model", "preset:rd16"], dict(eps="1.5", m="10")),
+    (["dump-trajectories", "--model", "preset:ou8"], dict(dt="-1", m="1")),
+    (["converge", "--model", "preset:ou8"],
+     dict(scheme="milstein", bign="8", n_list="2 4", m="10")),
+], ids=["constants-negative-t", "check-unknown-functional", "check-e9-on-ou8",
+        "check-e0", "invariant-eps-above-1", "dump-negative-dt", "converge-unknown-scheme"])
+def test_bad_config_exits_2(argv, cfg, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(argv + ["--config", write_experiment(tmp_path, **cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("model, experiment", [
+    (RD_MODEL.replace("side_0 = 0 1", "side_0 = 0"), None),
+    (OU_MODEL.replace("lambdas = 1 2 3 4\n", ""), None),
+    (OU_MODEL.replace("lambdas = 1 2 3 4", "lambdas = 0 2 3 4"), None),
+    ("kind = ou\n", None),
+    (OU_MODEL, "m = 3\n"),
+], ids=["side-with-one-number", "ou-without-lambdas", "ou-zero-lambda",
+        "model-without-section", "experiment-without-section"])
+def test_bad_input_file_exits_2(model, experiment, tmp_path, capsys):
+    argv = ["constants", "--model", str(tmp_path / "m.ini")]
+    (tmp_path / "m.ini").write_text(model)
+    if experiment is not None:
+        (tmp_path / "e.ini").write_text(experiment)
+        argv += ["--config", str(tmp_path / "e.ini")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ")
+    assert err.count("\n") == 1

@@ -4,11 +4,9 @@ import numpy as np
 import pytest
 
 from spdelab.kernels import (ConstantKernel, KernelError, ModeSeriesKernel,
-                             PowerSeriesKernel, RegularityProfile, compute_t0,
-                             epsilon_integrability, eval_kernel,
-                             gradient_constant, interpolation_schedule,
+                             PowerSeriesKernel, RegularityProfile, gradient_constant,
                              logharnack_constant, logharnack_constant_from_phi,
-                             phi, poincare_constant)
+                             poincare_constant)
 
 LOG6 = math.log(6.0)
 
@@ -22,7 +20,7 @@ def mode_series_d1(c: float, alpha: float, n_modes: int = 4096) -> ModeSeriesKer
 
 class TestKernelValues:
     def test_constant(self):
-        assert eval_kernel(ConstantKernel(2.0), 5.0) == 4.0
+        assert ConstantKernel(2.0).value(5.0) == 4.0
 
     def test_mode_series_value(self):
         # independent oracle: direct summation until the term drops below 1e-16
@@ -35,33 +33,33 @@ class TestKernelValues:
             if term < 1e-16:
                 break
             m += 1
-        got = eval_kernel(k, t)
+        got = k.value(t)
         assert got == pytest.approx(total, rel=1e-10)
         assert got == pytest.approx(0.01735, abs=5e-5)
 
     def test_power_series_value(self):
         k = PowerSeriesKernel(C=1.0, delta=1.0, p=4.0)
-        assert eval_kernel(k, 1.0) == pytest.approx(math.exp(-1) + math.exp(-16), rel=1e-12)
+        assert k.value(1.0) == pytest.approx(math.exp(-1) + math.exp(-16), rel=1e-12)
 
     def test_series_rejects_t_zero(self):
         with pytest.raises((KernelError, ValueError)):
-            eval_kernel(PowerSeriesKernel(C=1.0, delta=1.0, p=4.0), 0.0)
+            PowerSeriesKernel(C=1.0, delta=1.0, p=4.0).value(0.0)
 
     def test_monotone_nonincreasing(self):
         grid = np.linspace(0.01, 2.0, 40)
         for k in (ConstantKernel(1.5), PowerSeriesKernel(C=1.0, delta=1.0, p=4.0),
                   mode_series_d1(0.3, 1.0, 512)):
-            vals = np.array([eval_kernel(k, t) for t in grid])
+            vals = np.array([k.value(t) for t in grid])
             assert np.all(np.diff(vals) <= 1e-15)
 
 
 class TestPhi:
     def test_constant_linear(self):
-        assert phi(ConstantKernel(1.0), 0.5) == pytest.approx(0.5, rel=1e-15)
+        assert ConstantKernel(1.0).integral(0.5) == pytest.approx(0.5, rel=1e-15)
 
     def test_zero_at_zero(self):
         for k in (ConstantKernel(3.0), PowerSeriesKernel(C=1.0, delta=1.0, p=4.0)):
-            assert phi(k, 0.0) == 0.0
+            assert k.integral(0.0) == 0.0
 
     def test_power_series_full_integral(self):
         k = PowerSeriesKernel(C=1.0, delta=1.0, p=4.0)
@@ -71,14 +69,14 @@ class TestPhi:
         from scipy.integrate import quad
         k = PowerSeriesKernel(C=1.0, delta=2.0, p=4.0)
         for t in (0.1, 0.7):
-            ref, _ = quad(lambda s: eval_kernel(k, s), 1e-12, t, limit=200)
-            assert phi(k, t) == pytest.approx(ref, rel=1e-8)
+            ref, _ = quad(lambda s: k.value(s), 1e-12, t, limit=200)
+            assert k.integral(t) == pytest.approx(ref, rel=1e-8)
 
     def test_nondecreasing_and_concave(self):
         grid = np.linspace(0.0, 2.0, 60)
         for k in (PowerSeriesKernel(C=1.0, delta=1.0, p=4.0),
                   mode_series_d1(0.2, 2.0, 1024)):
-            vals = np.array([phi(k, t) for t in grid])
+            vals = np.array([k.integral(t) for t in grid])
             diffs = np.diff(vals)
             assert np.all(diffs >= -1e-15)
             assert np.all(np.diff(diffs) <= 1e-12)
@@ -107,13 +105,10 @@ class TestCriticalTime:
                                        Ksigma=ConstantKernel(0.5), lambda_sigma=1.0)):
             t0 = prof.t0
             h = 1e-9
-            below = phi(prof.Kb, t0 - h) + phi(prof.Ksigma, t0 - h)
-            above = phi(prof.Kb, t0 + h) + phi(prof.Ksigma, t0 + h)
+            below = prof.Kb.integral(t0 - h) + prof.Ksigma.integral(t0 - h)
+            above = prof.Kb.integral(t0 + h) + prof.Ksigma.integral(t0 + h)
             assert below <= 1.0 / 6.0 + 1e-12
             assert above >= 1.0 / 6.0 - 1e-12
-
-    def test_compute_t0_alias(self, rd16_profile):
-        assert compute_t0(rd16_profile) == rd16_profile.t0
 
 
 class TestConstants:
@@ -183,25 +178,18 @@ class TestLogHarnackFromPhi:
                     c = logharnack_constant(t, t0, lam)
                     assert q == pytest.approx(c, rel=1e-8)
 
-    def test_schedule_endpoints(self):
-        s = np.linspace(0.0, 0.4, 9)
-        h = interpolation_schedule(0.7, 0.4, s)
-        assert h[0] == pytest.approx(0.0, abs=1e-15)
-        assert h[-1] == pytest.approx(1.0, rel=1e-12)
-        assert np.all(np.diff(h) > 0)
-
 
 class TestEpsilonIntegrability:
     def test_constant(self):
-        assert epsilon_integrability(ConstantKernel(1.0), 0.5) == (True, pytest.approx(2.0, rel=1e-12))
+        assert ConstantKernel(1.0).epsilon_integral(0.5) == (True, pytest.approx(2.0, rel=1e-12))
 
     def test_kb_form_finite(self):
-        finite, value = epsilon_integrability(PowerSeriesKernel(C=1.0, delta=1.0, p=4.0), 0.5)
+        finite, value = PowerSeriesKernel(C=1.0, delta=1.0, p=4.0).epsilon_integral(0.5)
         assert finite and math.isfinite(value)
 
     def test_ka_form_divergent(self):
-        finite, value = epsilon_integrability(
-            PowerSeriesKernel(C=1.0, delta=1.0, p=2.0, mode_factor=True), 0.25)
+        finite, value = PowerSeriesKernel(
+            C=1.0, delta=1.0, p=2.0, mode_factor=True).epsilon_integral(0.25)
         assert not finite
         assert value == math.inf
 
@@ -209,9 +197,9 @@ class TestEpsilonIntegrability:
         from scipy.integrate import quad
         k = PowerSeriesKernel(C=1.0, delta=1.0, p=4.0)
         eps = 0.5
-        ref, _ = quad(lambda u: eval_kernel(k, u ** (1 / (1 - eps))) / (1 - eps),
+        ref, _ = quad(lambda u: k.value(u ** (1 / (1 - eps))) / (1 - eps),
                       0.0, 1.0, limit=200)
-        _, value = epsilon_integrability(k, eps)
+        _, value = k.epsilon_integral(eps)
         assert value == pytest.approx(ref, rel=1e-7)
 
 

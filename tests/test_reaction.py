@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from spdelab.kernels import epsilon_integrability, eval_kernel, phi
 from spdelab.noise import NoiseStream
 from spdelab.reaction import (ReactionDiffusionModel, ScalarFunctionSpec,
                               build_callbacks, build_profile,
@@ -143,12 +142,12 @@ class TestExactKsigma:
         t = 0.001
         m = np.arange(1, 200)
         direct = float(np.sum(2 * 0.01 * np.exp(-2 * (m * np.pi) ** 4 * t)))
-        assert eval_kernel(k, t) == pytest.approx(direct, rel=1e-10)
-        assert eval_kernel(k, t) == pytest.approx(0.01735, abs=5e-5)
+        assert k.value(t) == pytest.approx(direct, rel=1e-10)
+        assert k.value(t) == pytest.approx(0.01735, abs=5e-5)
 
     def test_constant_phi_zero_kernel(self):
         k = exact_Ksigma(make_model(ZERO, CONST_PHI))
-        assert eval_kernel(k, 0.5) == 0.0
+        assert k.value(0.5) == 0.0
 
     def test_full_integral(self):
         k = exact_Ksigma(make_model(ZERO, SIN_PHI))
@@ -173,7 +172,7 @@ class TestExactKsigma:
                 hs = sum(math.exp(-2 * lams[i] * t)
                          * float(np.sum((dphi * basis[:, i]) ** 2)) / (q + 1)
                          for i in range(8))
-                bound = eval_kernel(k, t) * float(np.sum((x - y) ** 2))
+                bound = k.value(t) * float(np.sum((x - y) ** 2))
                 assert hs <= bound * (1 + 1e-9) + 1e-15
 
 
@@ -190,7 +189,7 @@ class TestProfile:
         model = make_model(ATAN_PSI, SIN_PHI)
         prof = build_profile(model)
         ts = np.arange(0.6655, 0.6670, 1e-6)
-        total = phi(prof.Kb, ts) + phi(prof.Ksigma, ts)
+        total = prof.Kb.integral(ts) + prof.Ksigma.integral(ts)
         scan = ts[np.searchsorted(total, 1.0 / 6.0)]
         assert abs(prof.t0 - scan) < 1e-5
 
@@ -211,13 +210,13 @@ class TestProfile:
 class TestAlphaThreshold:
     def test_rectangle_kernel_finite(self):
         k = exact_Ksigma(make_model(ZERO, SIN_PHI))  # alpha = 2, d = 1
-        finite, value = epsilon_integrability(k, 0.5)
+        finite, value = k.epsilon_integral(0.5)
         assert finite and math.isfinite(value)
 
     def test_ka_form_at_alpha_equals_d(self):
         from spdelab.kernels import PowerSeriesKernel
         k = PowerSeriesKernel(C=1.0, delta=1.0, p=2.0, mode_factor=True)
-        finite, value = epsilon_integrability(k, 0.3)
+        finite, value = k.epsilon_integral(0.3)
         assert not finite and value == math.inf
 
 

@@ -6,10 +6,7 @@ import pytest
 from spdelab.noise import NoiseStream
 from spdelab.reaction import build_callbacks
 from spdelab.simulate import (CallbackBundle, SchemeConfig, SimulationError,
-                              coupled_pair, default_dt, derivative_flow,
-                              diagonal_constant_diffusion, ou_exact,
-                              simulate_batch, simulate_path)
-from spdelab.spectral import GalerkinState
+                              diagonal_constant_diffusion, ou_exact, simulate_batch)
 
 
 def zero_callbacks() -> CallbackBundle:
@@ -32,30 +29,25 @@ class TestSchemeConfig:
         with pytest.raises((ValueError, SimulationError)):
             SchemeConfig(dt=1e-3, t_end=1.0, scheme="milstein")
 
-    def test_default_dt(self):
-        lams = np.array([1.0, 400.0])
-        assert default_dt(lams, "exponential_euler") == 1e-3
-        assert default_dt(lams, "euler_maruyama") == pytest.approx(0.1 / 400.0)
-
 
 class TestStep:
     def test_pure_decay(self):
         lams = np.array([1.0, 4.0, 9.0])
         cfg = SchemeConfig(dt=1e-2, t_end=0.5)
         noise = NoiseStream(seed=0, width=3)
-        x0 = GalerkinState(np.array([1.0, -2.0, 0.5]))
-        out = simulate_path(x0, cfg, lams, zero_callbacks(), noise, 0)
-        np.testing.assert_allclose(out.coeffs, np.exp(-lams * 0.5) * x0.coeffs, rtol=1e-13)
+        x0 = np.array([1.0, -2.0, 0.5])
+        out = simulate_batch(x0, [0], cfg, lams, zero_callbacks(), noise)["x"][0]
+        np.testing.assert_allclose(out, np.exp(-lams * 0.5) * x0, rtol=1e-13)
 
     def test_exponential_equals_euler_at_lambda_zero(self):
         lams = np.zeros(2)
         noise = NoiseStream(seed=3, width=2)
         cb = diagonal_constant_diffusion(0.7)
-        x0 = GalerkinState(np.array([0.3, -0.1]))
+        x0 = np.array([0.3, -0.1])
         outs = {}
         for scheme in ("exponential_euler", "euler_maruyama"):
             cfg = SchemeConfig(dt=1e-2, t_end=0.2, scheme=scheme)
-            outs[scheme] = simulate_path(x0, cfg, lams, cb, noise, 5).coeffs
+            outs[scheme] = simulate_batch(x0, [5], cfg, lams, cb, noise)["x"][0]
         np.testing.assert_array_equal(outs["exponential_euler"], outs["euler_maruyama"])
 
     def test_dimension_mismatch(self):
@@ -89,17 +81,16 @@ class TestStep:
 
 class TestSimulatePath:
     def test_zero_horizon_returns_x0(self):
-        x0 = GalerkinState(np.array([1.0, 2.0]))
+        x0 = np.array([1.0, 2.0])
         cfg = SchemeConfig(dt=1e-2, t_end=0.0)
-        out = simulate_path(x0, cfg, np.ones(2), diagonal_constant_diffusion(1.0),
-                            NoiseStream(seed=0, width=2), 0)
-        np.testing.assert_array_equal(out.coeffs, x0.coeffs)
+        out = simulate_batch(x0, [0], cfg, np.ones(2), diagonal_constant_diffusion(1.0),
+                             NoiseStream(seed=0, width=2))["x"][0]
+        np.testing.assert_array_equal(out, x0)
 
     def test_bit_identical_reruns(self, rd16, rd16_callbacks):
         cfg = SchemeConfig(dt=2e-3, t_end=0.05)
-        x0 = GalerkinState(np.zeros(16))
-        runs = [simulate_path(x0, cfg, rd16.spectrum.lambdas, rd16_callbacks,
-                              NoiseStream(seed=11, width=16), 9).coeffs
+        runs = [simulate_batch(np.zeros(16), [9], cfg, rd16.spectrum.lambdas, rd16_callbacks,
+                               NoiseStream(seed=11, width=16))["x"][0]
                 for _ in range(2)]
         np.testing.assert_array_equal(runs[0], runs[1])
 
@@ -122,33 +113,30 @@ class TestDerivativeFlow:
     def test_constant_sigma_flow_is_heat_semigroup(self):
         lams = np.array([1.0, 2.0, 5.0])
         cfg = SchemeConfig(dt=1e-3, t_end=0.3)
-        v = GalerkinState(np.array([1.0, -1.0, 2.0]))
-        _, flow = derivative_flow(GalerkinState(np.zeros(3)), v, cfg, lams,
-                                  diagonal_constant_diffusion(1.0),
-                                  NoiseStream(seed=5, width=3), 0)
-        np.testing.assert_allclose(flow.coeffs, np.exp(-lams * 0.3) * v.coeffs, rtol=1e-12)
+        v = np.array([1.0, -1.0, 2.0])
+        flow = simulate_batch(np.zeros(3), [0], cfg, lams, diagonal_constant_diffusion(1.0),
+                              NoiseStream(seed=5, width=3), v=v)["flow"][0]
+        np.testing.assert_allclose(flow, np.exp(-lams * 0.3) * v, rtol=1e-12)
 
     def test_zero_direction_stays_zero(self, rd16, rd16_callbacks):
         cfg = SchemeConfig(dt=2e-3, t_end=0.05)
-        _, flow = derivative_flow(GalerkinState(np.zeros(16)), GalerkinState(np.zeros(16)),
-                                  cfg, rd16.spectrum.lambdas, rd16_callbacks,
-                                  NoiseStream(seed=5, width=16), 0)
-        np.testing.assert_array_equal(flow.coeffs, np.zeros(16))
+        flow = simulate_batch(np.zeros(16), [0], cfg, rd16.spectrum.lambdas, rd16_callbacks,
+                              NoiseStream(seed=5, width=16), v=np.zeros(16))["flow"][0]
+        np.testing.assert_array_equal(flow, np.zeros(16))
 
     def test_finite_difference_consistency(self, rd16, rd16_callbacks):
         cfg = SchemeConfig(dt=2e-3, t_end=0.05)
         lams = rd16.spectrum.lambdas
         noise = NoiseStream(seed=41, width=16)
-        x0 = GalerkinState(np.zeros(16))
+        x0 = np.zeros(16)
         v = np.zeros(16)
         v[0] = 1.0
-        _, flow = derivative_flow(x0, GalerkinState(v), cfg, lams, rd16_callbacks, noise, 0)
+        flow = simulate_batch(x0, [0], cfg, lams, rd16_callbacks, noise, v=v)["flow"][0]
         errs = []
         for eps in (1e-2, 5e-3, 2.5e-3):
-            a, b = coupled_pair(GalerkinState(eps * v), x0, cfg, lams,
-                                rd16_callbacks, noise, 0)
-            fd = (a.coeffs - b.coeffs) / eps
-            errs.append(np.linalg.norm(fd - flow.coeffs))
+            res = simulate_batch(eps * v, [0], cfg, lams, rd16_callbacks, noise, y0=x0)
+            fd = (res["x"][0] - res["y"][0]) / eps
+            errs.append(np.linalg.norm(fd - flow))
         assert errs[0] > errs[1] > errs[2]
         assert errs[1] == pytest.approx(errs[0] / 2, rel=0.25)
         assert errs[2] == pytest.approx(errs[1] / 2, rel=0.25)
@@ -158,12 +146,12 @@ class TestDerivativeFlow:
         cfg = SchemeConfig(dt=2e-3, t_end=0.04)
         lams = rd16.spectrum.lambdas
         noise = NoiseStream(seed=13, width=16)
-        x0 = GalerkinState(np.zeros(16))
+        x0 = np.zeros(16)
         v = np.zeros(16)
         v[2] = 0.5
-        _, f1 = derivative_flow(x0, GalerkinState(v), cfg, lams, rd16_callbacks, noise, 4)
-        _, f2 = derivative_flow(x0, GalerkinState(2 * v), cfg, lams, rd16_callbacks, noise, 4)
-        np.testing.assert_array_equal(f2.coeffs, 2 * f1.coeffs)
+        f1 = simulate_batch(x0, [4], cfg, lams, rd16_callbacks, noise, v=v)["flow"][0]
+        f2 = simulate_batch(x0, [4], cfg, lams, rd16_callbacks, noise, v=2 * v)["flow"][0]
+        np.testing.assert_array_equal(f2, 2 * f1)
 
     def test_missing_jacobians(self):
         cb = CallbackBundle(drift=lambda x: np.zeros_like(x),
@@ -171,28 +159,26 @@ class TestDerivativeFlow:
                             drift_jacobian_apply=None, diffusion_jacobian_apply=None)
         assert not cb.has_jacobians
         with pytest.raises((SimulationError, ValueError)):
-            derivative_flow(GalerkinState(np.zeros(2)), GalerkinState(np.ones(2)),
-                            SchemeConfig(dt=1e-2, t_end=0.1), np.ones(2), cb,
-                            NoiseStream(seed=0, width=2), 0)
+            simulate_batch(np.zeros(2), [0], SchemeConfig(dt=1e-2, t_end=0.1), np.ones(2), cb,
+                           NoiseStream(seed=0, width=2), v=np.ones(2))
 
 
 class TestCoupledPair:
     def test_equal_starts_stay_equal(self, rd16, rd16_callbacks):
         cfg = SchemeConfig(dt=2e-3, t_end=0.05)
-        x0 = GalerkinState(np.full(16, 0.1))
-        a, b = coupled_pair(x0, x0, cfg, rd16.spectrum.lambdas, rd16_callbacks,
-                            NoiseStream(seed=8, width=16), 1)
-        np.testing.assert_array_equal(a.coeffs, b.coeffs)
+        x0 = np.full(16, 0.1)
+        res = simulate_batch(x0, [1], cfg, rd16.spectrum.lambdas, rd16_callbacks,
+                             NoiseStream(seed=8, width=16), y0=x0)
+        np.testing.assert_array_equal(res["x"][0], res["y"][0])
 
     def test_constant_sigma_difference_deterministic(self):
         lams = np.array([1.0, 3.0])
         cfg = SchemeConfig(dt=1e-3, t_end=0.5)
-        x0 = GalerkinState(np.array([1.0, 0.0]))
-        y0 = GalerkinState(np.array([0.0, 2.0]))
-        a, b = coupled_pair(x0, y0, cfg, lams, diagonal_constant_diffusion(0.8),
-                            NoiseStream(seed=17, width=2), 3)
-        np.testing.assert_allclose(a.coeffs - b.coeffs,
-                                   np.exp(-lams * 0.5) * (x0.coeffs - y0.coeffs),
+        x0 = np.array([1.0, 0.0])
+        y0 = np.array([0.0, 2.0])
+        res = simulate_batch(x0, [3], cfg, lams, diagonal_constant_diffusion(0.8),
+                             NoiseStream(seed=17, width=2), y0=y0)
+        np.testing.assert_allclose(res["x"][0] - res["y"][0], np.exp(-lams * 0.5) * (x0 - y0),
                                    rtol=1e-12, atol=1e-14)
 
 

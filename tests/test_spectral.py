@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from spdelab.spectral import (DomainError, EigenSpectrum, GalerkinState, RectDomain,
-                              eigenfunction_eval, eigenvalue, project,
-                              semigroup_factor, unit_interval)
+from spdelab.simulate import ou_exact
+from spdelab.spectral import (DomainError, EigenSpectrum, RectDomain, eigenfunction_eval,
+                              eigenvalue, unit_interval)
 
 UNIT = unit_interval()
 SQUARE = RectDomain(sides=((0.0, 1.0), (0.0, 1.0)))
@@ -72,52 +72,32 @@ class TestEigenfunction:
         assert np.sum(vals**2) / q**2 == pytest.approx(1.0, abs=1e-6)
 
 
+def heat_factor(t, lam):
+    """e^{-lambda t}: the mean of the exact OU transition started at 1."""
+    return float(ou_exact(1.0, t, np.atleast_1d(lam), 1.0)[0][0])
+
+
 class TestSemigroupFactor:
     def test_identity_at_zero(self):
-        assert semigroup_factor(0.0, 123.4) == 1.0
+        assert heat_factor(0.0, 123.4) == 1.0
 
     def test_kernel_mode(self):
-        assert semigroup_factor(7.0, 0.0) == 1.0
+        assert heat_factor(7.0, 0.0) == 1.0
 
     def test_value(self):
-        assert semigroup_factor(1.0, math.pi**2) == pytest.approx(math.exp(-math.pi**2), rel=1e-14)
+        assert heat_factor(1.0, math.pi**2) == pytest.approx(math.exp(-math.pi**2), rel=1e-14)
 
     def test_negative_time(self):
         with pytest.raises(DomainError):
-            semigroup_factor(-0.1, 1.0)
+            heat_factor(-0.1, 1.0)
 
     def test_semigroup_property(self, rng):
         for _ in range(50):
             s, t = rng.uniform(0, 3, size=2)
             lam = rng.uniform(0, 50)
-            lhs = semigroup_factor(s + t, lam)
-            rhs = semigroup_factor(s, lam) * semigroup_factor(t, lam)
+            lhs = heat_factor(s + t, lam)
+            rhs = heat_factor(s, lam) * heat_factor(t, lam)
             assert lhs == pytest.approx(rhs, rel=1e-14)
-
-
-class TestProjection:
-    def test_truncation(self):
-        st = GalerkinState(np.array([1.0, 2.0, 3.0]))
-        assert project(st, 2).coeffs.tolist() == [1.0, 2.0]
-
-    def test_identity(self):
-        st = GalerkinState(np.array([1.0, 2.0]))
-        assert project(st, 2).coeffs.tolist() == [1.0, 2.0]
-
-    def test_contraction(self):
-        st = GalerkinState(np.array([3.0, 4.0]))
-        pr = project(st, 1)
-        assert pr.coeffs.tolist() == [3.0]
-        assert pr.norm() <= st.norm()
-
-    def test_overlong(self):
-        with pytest.raises(DomainError):
-            project(GalerkinState(np.array([1.0])), 2)
-
-    def test_parseval(self, rng):
-        c = rng.normal(size=17)
-        st = GalerkinState(c)
-        assert st.norm() ** 2 == pytest.approx(float(np.sum(c**2)), rel=1e-12)
 
 
 class TestSpectrumEnumeration:
@@ -134,6 +114,6 @@ class TestSpectrumEnumeration:
         assert np.all(np.diff(sp.lambdas) >= 0)
 
     def test_abstract_spectrum(self):
-        sp = EigenSpectrum.from_lambdas([0.5, 1.0, 2.0])
+        sp = EigenSpectrum(lambdas=[0.5, 1.0, 2.0])
         assert sp.n == 3
         assert sp.lambdas.tolist() == [0.5, 1.0, 2.0]
