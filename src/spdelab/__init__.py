@@ -21,7 +21,6 @@ from .reaction import (
     build_profile,
     check_growth_condition,
     exact_Ksigma,
-    moment_harness,
 )
 from .simulate import (
     CallbackBundle,
@@ -48,6 +47,6 @@ __all__ = [
     "build_callbacks", "build_profile", "check_growth_condition",
     "diagonal_constant_diffusion", "eigenfunction_eval", "eigenvalue",
     "exact_Ksigma", "gradient_constant", "logharnack_constant",
-    "logharnack_constant_from_phi", "moment_harness", "ou_exact",
+    "logharnack_constant_from_phi", "ou_exact",
     "plateau_verdict", "poincare_constant", "simulate_batch", "unit_interval",
 ]

@@ -14,10 +14,7 @@ class Functional:
     name: str
     eval: Callable
     grad: Callable | None = None
-    bounded: bool = False
     strictly_positive: bool = False
-    grad_bound: float | None = None
-    floor: float = 0.0
 
     def grad_norm_sq(self, x: np.ndarray) -> np.ndarray:
         if self.grad is None:
@@ -36,7 +33,7 @@ def coordinate(i: int) -> Functional:
         g[:, i] = 1.0
         return g
 
-    return Functional(name=f"coord{i + 1}", eval=ev, grad=gr, grad_bound=1.0)
+    return Functional(name=f"coord{i + 1}", eval=ev, grad=gr)
 
 
 def sin_coordinate(i: int = 0, shift: float = 0.0) -> Functional:
@@ -50,9 +47,7 @@ def sin_coordinate(i: int = 0, shift: float = 0.0) -> Functional:
         return g
 
     name = f"sin{i + 1}" if shift == 0.0 else f"{shift:g}+sin{i + 1}"
-    return Functional(name=name, eval=ev, grad=gr, bounded=True,
-                      strictly_positive=shift > 1.0, grad_bound=1.0,
-                      floor=max(0.0, shift - 1.0))
+    return Functional(name=name, eval=ev, grad=gr, strictly_positive=shift > 1.0)
 
 
 def constant(c: float) -> Functional:
@@ -62,8 +57,7 @@ def constant(c: float) -> Functional:
     def gr(x):
         return np.zeros_like(x)
 
-    return Functional(name=f"const{c:g}", eval=ev, grad=gr, bounded=True,
-                      strictly_positive=c > 0, grad_bound=0.0, floor=max(0.0, c))
+    return Functional(name=f"const{c:g}", eval=ev, grad=gr, strictly_positive=c > 0)
 
 
 REGISTRY: dict[str, Callable[[], Functional]] = {

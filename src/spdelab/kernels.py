@@ -14,7 +14,7 @@ Kernel forms:
   per-mode weights/rates (exact rectangle data)
 
 All series are summed with provable integral-comparison tail bounds, so
-values are deterministic to the configured truncation tolerance.
+values are deterministic to the truncation tolerance ``TRUNCATION_TOL``.
 """
 from __future__ import annotations
 
@@ -29,6 +29,7 @@ from .spectral import DomainError
 
 LOG6 = math.log(6.0)
 PHI_BUDGET = 1.0 / 6.0
+TRUNCATION_TOL = 1e-12  # largest tail bound a truncated series may leave off
 
 
 class KernelError(ValueError):
@@ -37,8 +38,6 @@ class KernelError(ValueError):
 
 class Kernel:
     """Base interface: pointwise value, running integral, integrability."""
-
-    truncation_tol: float = 1e-12
 
     def value(self, t):
         raise NotImplementedError
@@ -74,7 +73,6 @@ class ConstantKernel(Kernel):
     """K(t) = c^2 for a Lipschitz constant c >= 0."""
 
     c: float
-    truncation_tol: float = 1e-12
 
     def __post_init__(self):
         if self.c < 0:
@@ -128,7 +126,6 @@ class PowerSeriesKernel(Kernel):
     delta: float
     p: float
     mode_factor: bool = False
-    truncation_tol: float = 1e-12
 
     def __post_init__(self):
         if self.C <= 0 or self.delta <= 0 or self.p <= 0:
@@ -155,7 +152,7 @@ class PowerSeriesKernel(Kernel):
             total += float(terms.sum())
             m0 += block
             tail = _exp_series_tail(self.C, self._k, self.delta * t, self.p, m0 - 1)
-            if tail < self.truncation_tol:
+            if tail < TRUNCATION_TOL:
                 return total + 0.5 * tail
             if m0 > 10_000_000:
                 raise KernelError("series did not reach truncation tolerance")
@@ -169,7 +166,7 @@ class PowerSeriesKernel(Kernel):
                 "for this form); kernel is not integrable"
             )
         # tail <= C/(delta (q-1)) M^{1-q} < tol
-        M = (self.C / (self.delta * (q - 1.0) * self.truncation_tol)) ** (1.0 / (q - 1.0))
+        M = (self.C / (self.delta * (q - 1.0) * TRUNCATION_TOL)) ** (1.0 / (q - 1.0))
         return int(min(max(M, 64), 5_000_000)) + 1
 
     def integral(self, t):
@@ -233,8 +230,6 @@ class ModeSeriesKernel(Kernel):
     weights: np.ndarray
     rates: np.ndarray
     rate_exponent: float
-    weight_exponent: float = 0.0
-    truncation_tol: float = 1e-12
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
@@ -251,17 +246,13 @@ class ModeSeriesKernel(Kernel):
         return self.weights.size
 
     def _tail_env(self):
-        """Conservative envelope w_m <= w_env m^k, r_m >= kappa m^p past M."""
+        """Conservative envelope w_m <= w_env, r_m >= kappa m^p past M."""
         M = self._M
         half = max(1, M // 2)
         m = np.arange(1, M + 1, dtype=float)
         with np.errstate(divide="ignore"):
             kappa = float(np.min(self.rates[half - 1 :] / m[half - 1 :] ** self.rate_exponent))
-            if self.weight_exponent == 0.0:
-                w_env = float(np.max(self.weights))
-            else:
-                w_env = float(np.max(self.weights / m**self.weight_exponent))
-        return w_env, kappa
+        return float(np.max(self.weights)), kappa
 
     def value(self, t):
         t_arr, scalar = _as_time_array(t, positive=True)
@@ -269,9 +260,8 @@ class ModeSeriesKernel(Kernel):
         w_env, kappa = self._tail_env()
         for i, ti in enumerate(t_arr):
             head = float(np.sum(self.weights * np.exp(-self.rates * ti)))
-            tail = _exp_series_tail(w_env, self.weight_exponent, kappa * ti,
-                                    self.rate_exponent, self._M)
-            if tail > self.truncation_tol:
+            tail = _exp_series_tail(w_env, 0.0, kappa * ti, self.rate_exponent, self._M)
+            if tail > TRUNCATION_TOL:
                 warnings.warn(
                     f"mode-series tail bound {tail:.2e} above tolerance at t={ti}; "
                     "store more modes", stacklevel=2)
@@ -279,8 +269,7 @@ class ModeSeriesKernel(Kernel):
         return _maybe_scalar(out, scalar)
 
     def _check_integrable(self):
-        q = self.rate_exponent - self.weight_exponent
-        if q <= 1.0:
+        if self.rate_exponent <= 1.0:
             raise KernelError("mode-series time integral diverges (rate growth too slow)")
 
     def integral(self, t):
@@ -294,31 +283,30 @@ class ModeSeriesKernel(Kernel):
 
     def _integral_tail(self) -> float:
         w_env, kappa = self._tail_env()
-        q = self.rate_exponent - self.weight_exponent
+        q = self.rate_exponent
         return w_env / kappa * self._M ** (1.0 - q) / (q - 1.0)
 
     def _warn_integral_tail(self):
         tail = self._integral_tail()
-        if tail > self.truncation_tol:
+        if tail > TRUNCATION_TOL:
             warnings.warn(
                 f"mode-series integral tail bound {tail:.2e} above tolerance; "
                 "store more modes", stacklevel=2)
 
     def integral_to_inf(self) -> float:
-        q = self.rate_exponent - self.weight_exponent
-        if q <= 1.0:
+        if self.rate_exponent <= 1.0:
             return math.inf
         head = float(np.sum(self.weights / self.rates))
         return head + 0.5 * self._integral_tail()
 
     def epsilon_integral(self, eps: float) -> tuple[bool, float]:
         _check_eps(eps)
-        if self.rate_exponent * (1.0 - eps) - self.weight_exponent <= 1.0:
+        q = self.rate_exponent * (1.0 - eps)
+        if q <= 1.0:
             return False, math.inf
         g = special.gamma(1.0 - eps)
         terms = self.weights * self.rates ** (eps - 1.0) * g * special.gammainc(1.0 - eps, self.rates)
         w_env, kappa = self._tail_env()
-        q = self.rate_exponent * (1.0 - eps) - self.weight_exponent
         tail = w_env * g * kappa ** (eps - 1.0) * self._M ** (1.0 - q) / (q - 1.0)
         return True, float(terms.sum()) + 0.5 * tail
 

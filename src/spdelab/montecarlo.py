@@ -11,10 +11,13 @@ with slack multiplier k (default 4).  The bounds under test are inequalities
 between exact expectations, so Monte Carlo can only refute with slack; k = 4
 keeps the false-alarm rate per check below 1e-4.
 
-Paths are split into fixed-size blocks by path id; blocks may run on any
-number of threads but their central moments are always merged in ascending
-block order, so every result is bit-reproducible for a given seed regardless
-of worker count.
+Every estimate, the moment curves and the Galerkin gaps included, goes
+through one sampler, ``MonteCarlo._sample``.  It splits the paths into
+fixed-size blocks by path id, runs each block (on any number of threads),
+checks every per-path value for finiteness (an ``EstimationError`` names the
+quantity and the path ids), and merges the blocks' central moments in
+ascending block order, so every result is bit-reproducible for a given seed
+regardless of worker count.
 """
 from __future__ import annotations
 
@@ -151,36 +154,42 @@ class MonteCarlo:
         with ThreadPoolExecutor(max_workers=self.threads) as pool:
             return list(pool.map(worker, blocks))
 
-    def _sample(self, x0, t: float, M: int, evaluators: dict, *,
-                v=None, y0=None) -> dict[str, Stats]:
-        """Run M paths; evaluators map the result dict to per-path values."""
+    def _sample(self, x0, t: float, M: int, evaluators: dict, run=None,
+                **batch) -> dict[str, Stats]:
+        """Run M paths in blocks; evaluators map ``run(block)``'s result dict to
+        per-path values, whose moments are merged per evaluator.
+
+        ``run`` defaults to one ``simulate_batch`` of the block with ``batch``
+        (``v``, ``y0``, ``checkpoint_steps``) passed through.  At t = 0 every
+        path sits at its start, so one zero-step path stands for all M.
+        """
         cfg = self._cfg(t)
-        blocks = self._blocks(M)
-        names = list(evaluators)
+        blocks = self._blocks(M if t > 0 else min(M, 1))
+        if run is None:
+            def run(block):
+                return simulate_batch(x0, block, cfg, self.lambdas, self.callbacks,
+                                      self.noise, **batch)
 
         def worker(block):
-            res = simulate_batch(x0, block, cfg, self.lambdas, self.callbacks,
-                                 self.noise, v=v, y0=y0)
+            res = run(block)
             sums = {}
-            for name in names:
-                vals = evaluators[name](res)
-                if not np.all(np.isfinite(vals)):
-                    bad = block[~np.isfinite(vals)]
+            for name, evaluate in evaluators.items():
+                with np.errstate(over="ignore", invalid="ignore"):
+                    vals = evaluate(res)
+                bad = ~np.isfinite(vals)
+                if bad.any():
                     raise EstimationError(
-                        f"non-finite values of {name!r} on paths {bad[:5].tolist()}")
+                        f"non-finite values of {name!r} on paths {block[bad][:5].tolist()}")
                 sums[name] = _moments(vals)
             return sums
 
         partials = self._map_blocks(worker, blocks)   # in ascending block order
-        return {name: _merged_stats([p[name] for p in partials]) for name in names}
+        return {name: _merged_stats([p[name] for p in partials]) for name in evaluators}
 
     # -- expectations ----------------------------------------------------------
 
     def expect(self, f: Functional, x0, t: float, M: int) -> tuple[float, float]:
         """(sample mean, standard error) of f(X_t) over M independent paths."""
-        if t == 0:
-            x = np.broadcast_to(np.asarray(x0, float), (1, self.n))
-            return float(f.eval(x)[0]), 0.0
         st = self._sample(x0, t, M, {"f": lambda r: f.eval(r["x"])})["f"]
         return st.mean, st.se
 
@@ -198,11 +207,6 @@ class MonteCarlo:
             "f": lambda r: f.eval(r["x"]),
             "flowsq": lambda r: np.sum(r["flow"] ** 2, axis=-1),
         }
-        if t == 0:
-            x = np.broadcast_to(np.asarray(x0, float), (1, self.n))
-            res = {"x": x, "flow": np.broadcast_to(v, (1, self.n))}
-            return {k: Stats(float(ev(res)[0]), 0.0, 0.0, 0.0, M)
-                    for k, ev in evaluators.items()}
         return self._sample(x0, t, M, evaluators, v=v)
 
     def grad_via_fd(self, f: Functional, x0, v, eps: float, t: float, M: int):
@@ -211,10 +215,6 @@ class MonteCarlo:
             raise ValueError("eps must be positive")
         x0 = np.asarray(x0, dtype=float)
         y0 = x0 + eps * np.asarray(v, dtype=float)
-        if t == 0:
-            xa = np.broadcast_to(x0, (1, self.n))
-            ya = np.broadcast_to(y0, (1, self.n))
-            return float((f.eval(ya)[0] - f.eval(xa)[0]) / eps), 0.0
         st = self._sample(x0, t, M, {
             "fd": lambda r: (f.eval(r["y"]) - f.eval(r["x"])) / eps,
         }, y0=y0)["fd"]
@@ -278,10 +278,6 @@ class MonteCarlo:
         if lambda_bar is None:
             raise ValueError("Poincare check needs the upper ellipticity bound lambda_bar")
         const = kernels.poincare_constant(t, t0, lambda_bar)
-        if t == 0:
-            x = np.broadcast_to(np.asarray(x0, float), (1, self.n))
-            rhs = const * float(f.grad_norm_sq(x)[0])
-            return self._report("poincare", 0.0, 0.0, rhs, 0.0, const, k, t, M)
         st = self._sample(x0, t, M, {
             "f": lambda r: f.eval(r["x"]),
             "gradsq": lambda r: f.grad_norm_sq(r["x"]),
@@ -303,30 +299,14 @@ class MonteCarlo:
 
     def second_moment_curve(self, x0, t_end: float, checkpoints, M: int):
         """Rows (t, E|X_t|^2 estimate, stderr) at the requested checkpoint times."""
-        cfg = self._cfg(t_end) if t_end > 0 else None
-        if t_end == 0:
-            x0_arr = np.asarray(x0, dtype=float)
-            return [(0.0, float(np.sum(x0_arr**2)), 0.0)]
+        cfg = self._cfg(t_end)
         dt = cfg.realized_dt
         steps = sorted({min(cfg.n_steps, max(0, round(tc / dt))) for tc in checkpoints})
-        blocks = self._blocks(M)
-
-        def worker(block):
-            res = simulate_batch(x0, block, cfg, self.lambdas, self.callbacks,
-                                 self.noise, checkpoint_steps=steps)
-            out = {}
-            for s, snap in res["checkpoints"].items():
-                if not np.all(np.isfinite(snap)):
-                    raise EstimationError(f"moment blow-up by t = {s * dt:g}")
-                out[s] = _moments(np.sum(snap**2, axis=-1))
-            return out
-
-        partials = self._map_blocks(worker, blocks)
-        rows = []
-        for s in steps:
-            st = _merged_stats([p[s] for p in partials])
-            rows.append((s * dt, st.mean, st.se))
-        return rows
+        st = self._sample(x0, t_end, M, {
+            f"|X_t|^2 at t = {s * dt!r}":
+                lambda r, s=s: np.sum(r["checkpoints"][s] ** 2, axis=-1)
+            for s in steps}, checkpoint_steps=steps)
+        return [(s * dt, m.mean, m.se) for s, m in zip(steps, st.values())]
 
     def convergence_study(self, build, n_list, N: int, x0_full, t: float, M: int):
         """Mean squared gap E|X_t^n - X_t^N|^2 per truncation level n.
@@ -346,37 +326,28 @@ class MonteCarlo:
         systems = {lv: build(lv) for lv in levels + [N]}
         cfg = self._cfg(t)
         x0_full = np.asarray(x0_full, dtype=float)
-        blocks = self._blocks(M)
 
-        def worker(block):
-            finals = {}
-            for lv, (lams, cb) in systems.items():
-                res = simulate_batch(x0_full[:lv], block, cfg, np.asarray(lams, float),
-                                     cb, self.noise)
-                finals[lv] = res["x"]
+        def run(block):
+            return {lv: simulate_batch(x0_full[:lv], block, cfg, np.asarray(lams, float),
+                                       cb, self.noise)["x"]
+                    for lv, (lams, cb) in systems.items()}
+
+        def gap(finals, lv):
             ref = finals[N]
-            sums = {}
-            for lv in levels:
-                pad = np.zeros_like(ref)
-                pad[:, :lv] = finals[lv]
-                sums[lv] = _moments(np.sum((pad - ref) ** 2, axis=-1))
-            return sums
+            pad = np.zeros_like(ref)
+            pad[:, :lv] = finals[lv]
+            return np.sum((pad - ref) ** 2, axis=-1)
 
-        partials = self._map_blocks(worker, blocks)
-        rows = []
-        for lv in n_list:
-            if lv == N:
-                rows.append((lv, 0.0, 0.0))
-                continue
-            st = _merged_stats([p[lv] for p in partials])
-            rows.append((lv, st.mean, st.se))
-        return rows
+        st = self._sample(x0_full, t, M, {
+            f"gap at n = {lv}": lambda r, lv=lv: gap(r, lv) for lv in levels}, run=run)
+        gaps = dict(zip(levels, st.values()))
+        return [(lv, gaps[lv].mean, gaps[lv].se) if lv in gaps else (lv, 0.0, 0.0)
+                for lv in n_list]
 
 
 def _dummy_functional(n: int) -> Functional:
-    z = Functional(name="zero", eval=lambda x: np.zeros(x.shape[0]),
-                   grad=lambda x: np.zeros_like(x), bounded=True, grad_bound=0.0)
-    return z
+    return Functional(name="zero", eval=lambda x: np.zeros(x.shape[0]),
+                      grad=lambda x: np.zeros_like(x))
 
 
 def plateau_verdict(rows, window: int = 3) -> str:

@@ -27,8 +27,6 @@ from typing import Callable
 import numpy as np
 
 from .kernels import ConstantKernel, ModeSeriesKernel, RegularityProfile
-from .montecarlo import MonteCarlo, plateau_verdict
-from .noise import NoiseStream
 from .spectral import DomainError, EigenSpectrum, RectDomain
 
 
@@ -281,23 +279,3 @@ def check_growth_condition(model: ReactionDiffusionModel, eps0: float, C0: float
     s = np.concatenate([-mags[::-1], [0.0], mags])
     lhs = np.asarray(model.phi.fn(s)) ** 2 + np.asarray(model.psi.fn(s)) ** 2
     return bool(np.all(lhs <= eps0 * s**2 + C0 + 1e-12))
-
-
-def moment_harness(model: ReactionDiffusionModel, t_end: float, checkpoints, M: int,
-                   noise: NoiseStream, dt: float = 1e-2,
-                   scheme: str = "exponential_euler", threads: int = 1,
-                   x0=None, growth: tuple[float, float] | None = None):
-    """Second-moment curve E|u_t|^2 at checkpoints plus a plateau verdict.
-
-    ``growth = (eps0, C0)`` gates the run on the quadratic-growth condition.
-    Returns (rows, verdict) with rows of (t, estimate, stderr).
-    """
-    if growth is not None and not check_growth_condition(model, *growth):
-        raise DomainError(
-            f"coefficient growth condition fails for eps0={growth[0]}, C0={growth[1]}")
-    cb = build_callbacks(model)
-    mc = MonteCarlo(model.spectrum.lambdas, cb, noise, dt=dt, scheme=scheme,
-                    threads=threads)
-    x0 = np.zeros(model.n) if x0 is None else np.asarray(x0, dtype=float)
-    rows = mc.second_moment_curve(x0, t_end, checkpoints, M)
-    return rows, plateau_verdict(rows)

@@ -14,11 +14,11 @@ from spdelab.cli import main
 from spdelab.functionals import constant, sin_coordinate
 from spdelab.kernels import (ConstantKernel, RegularityProfile, logharnack_constant,
                              logharnack_constant_from_phi, PowerSeriesKernel)
-from spdelab.montecarlo import MonteCarlo
+from spdelab.montecarlo import MonteCarlo, plateau_verdict
 from spdelab.noise import NoiseStream
 from spdelab.reaction import (ReactionDiffusionModel, ScalarFunctionSpec,
-                              build_callbacks, build_profile, exact_Ksigma,
-                              moment_harness)
+                              build_callbacks, build_profile, check_growth_condition,
+                              exact_Ksigma)
 from spdelab.simulate import SchemeConfig, diagonal_constant_diffusion, ou_exact, simulate_batch
 from spdelab.spectral import unit_interval
 
@@ -184,9 +184,11 @@ def test_criterion_7_alpha_threshold():
 
 def test_criterion_8_moment_boundedness(rd16):
     checkpoints = [20.0 * (i + 1) / 8 for i in range(8)]
-    rows, verdict = moment_harness(rd16, 20.0, checkpoints, 1000,
-                                   NoiseStream(seed=808, width=16), dt=5e-3,
-                                   growth=(0.5, 1.83))
+    assert check_growth_condition(rd16, 0.5, 1.83)
+    mc = MonteCarlo(rd16.spectrum.lambdas, build_callbacks(rd16),
+                    NoiseStream(seed=808, width=16), dt=5e-3)
+    rows = mc.second_moment_curve(np.zeros(rd16.n), 20.0, checkpoints, 1000)
+    verdict = plateau_verdict(rows)
     last3 = rows[-3:]
     plateau_ok = all(abs(a[1] - b[1]) <= 2 * math.hypot(a[2], b[2])
                      for i, a in enumerate(last3) for b in last3[i + 1:])

@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import spdelab
 from spdelab.cli import main
 
 RD_MODEL = """
@@ -167,6 +172,15 @@ class TestConverge:
         assert [r[0] for r in rows] == ["2", "4", "8"]
         assert float(rows[-1][1]) == 0.0 and float(rows[-1][2]) == 0.0
 
+    def test_zero_time_gap_is_exact(self, tmp_path):
+        # at t = 0 every path sits at x, so the gap is |x - x_n|^2 with no spread
+        cfg = write_experiment(tmp_path, t="0", x="0.3*ones", n_list="2 4", bign="8",
+                               m="50")
+        out = tmp_path / "c.csv"
+        assert main(["converge", "--model", "preset:ou8", "--config", cfg,
+                     "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[2] == "4,0.36,0.0"
+
 
 class TestInvariant:
     def test_ou_plateau(self, tmp_path):
@@ -189,6 +203,13 @@ class TestInvariant:
                      "--out", str(out)]) == 2
         rep = json.loads(out.read_text())
         assert rep["growth_condition"]["holds"] is False
+
+    def test_reaction_model_reads_x(self, tmp_path):
+        cfg = write_experiment(tmp_path, x="0.5*ones", t_end="0", checkpoints="1", m="10")
+        out = tmp_path / "i.json"
+        assert main(["invariant", "--model", "preset:rd16", "--config", cfg,
+                     "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["rows"][0]["moment"] == pytest.approx(16 * 0.25)
 
 
 class TestDumps:
@@ -242,15 +263,15 @@ def test_bad_config_exits_2(argv, cfg, tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("model, experiment", [
-    (RD_MODEL.replace("side_0 = 0 1", "side_0 = 0"), None),
-    (OU_MODEL.replace("lambdas = 1 2 3 4\n", ""), None),
-    (OU_MODEL.replace("lambdas = 1 2 3 4", "lambdas = 0 2 3 4"), None),
-    ("kind = ou\n", None),
-    (OU_MODEL, "m = 3\n"),
+@pytest.mark.parametrize("model, experiment, named", [
+    (RD_MODEL.replace("side_0 = 0 1", "side_0 = 0"), None, "side_0"),
+    (OU_MODEL.replace("lambdas = 1 2 3 4\n", ""), None, ""),
+    (OU_MODEL.replace("lambdas = 1 2 3 4", "lambdas = 0 2 3 4"), None, ""),
+    ("kind = ou\n", None, ""),
+    (OU_MODEL, "m = 3\n", ""),
 ], ids=["side-with-one-number", "ou-without-lambdas", "ou-zero-lambda",
         "model-without-section", "experiment-without-section"])
-def test_bad_input_file_exits_2(model, experiment, tmp_path, capsys):
+def test_bad_input_file_exits_2(model, experiment, named, tmp_path, capsys):
     argv = ["constants", "--model", str(tmp_path / "m.ini")]
     (tmp_path / "m.ini").write_text(model)
     if experiment is not None:
@@ -260,3 +281,23 @@ def test_bad_input_file_exits_2(model, experiment, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ")
     assert err.count("\n") == 1
+    assert named in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["converge", "--model", "preset:ou8"],
+    ["invariant", "--model", "preset:ou-invariant"],
+], ids=["converge", "invariant"])
+def test_nonfinite_estimate_exits_3(argv, tmp_path):
+    # |x|^2 overflows although every state stays finite; run as a process so
+    # that numpy warnings would show on stderr
+    cfg = write_experiment(tmp_path, x="1e160*ones", m="20", t="0.05", t_end="0.05",
+                           checkpoints="2", dt="1e-2", n_list="2 4", bign="8")
+    out = tmp_path / "out"
+    env = dict(os.environ, PYTHONPATH=str(Path(spdelab.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "spdelab.cli", *argv, "--config", cfg,
+                           "--out", str(out)], capture_output=True, text=True, env=env)
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("numerical failure: ")
+    assert proc.stderr.count("\n") == 1
+    assert not out.exists()

@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from spdelab.montecarlo import MonteCarlo
 from spdelab.noise import NoiseStream
 from spdelab.reaction import (ReactionDiffusionModel, ScalarFunctionSpec,
                               build_callbacks, build_profile,
                               check_growth_condition, exact_Ksigma,
-                              moment_harness, spot_check_lipschitz,
-                              spot_check_square_bounds)
+                              spot_check_lipschitz, spot_check_square_bounds)
 from spdelab.spectral import DomainError, RectDomain, eigenfunction_eval, unit_interval
 
 
@@ -238,12 +238,7 @@ class TestMomentHarness:
     def test_zero_horizon(self):
         model = make_model(ATAN_PSI, SIN_PHI)
         x0 = 0.1 * np.ones(8)
-        rows, _ = moment_harness(model, 0.0, [0.0], 16, NoiseStream(seed=1, width=8),
-                                 x0=x0)
+        mc = MonteCarlo(model.spectrum.lambdas, build_callbacks(model),
+                        NoiseStream(seed=1, width=8), dt=1e-2)
+        rows = mc.second_moment_curve(x0, 0.0, [0.0], 16)
         assert rows == [(0.0, pytest.approx(float(np.sum(x0**2))), 0.0)]
-
-    def test_growth_gate(self):
-        model = make_model(IDENT, SIN_PHI)
-        with pytest.raises(DomainError):
-            moment_harness(model, 1.0, [1.0], 8, NoiseStream(seed=1, width=8),
-                           growth=(0.5, 2.0))
