@@ -262,10 +262,13 @@ def cmd_validate(handle: ModelHandle, cfg: dict, args) -> int:
     report = {
         "model": handle.name,
         "t_grid": t_grid,
-        "Kb": [_jsonable(float(np.atleast_1d(profile.Kb.value(t))[0])) for t in t_grid],
-        "Ksigma": [_jsonable(float(np.atleast_1d(profile.Ksigma.value(t))[0])) for t in t_grid],
+        # integrals before values: a series value imports scipy.special, whose
+        # import resets the warning registry, so an integral tail warning
+        # raised after it would print a second time
         "phi_b": [_jsonable(float(np.atleast_1d(profile.Kb.integral(t))[0])) for t in t_grid],
         "phi_sigma": [_jsonable(float(np.atleast_1d(profile.Ksigma.integral(t))[0])) for t in t_grid],
+        "Kb": [_jsonable(float(np.atleast_1d(profile.Kb.value(t))[0])) for t in t_grid],
+        "Ksigma": [_jsonable(float(np.atleast_1d(profile.Ksigma.value(t))[0])) for t in t_grid],
         "t0": _jsonable(profile.t0),
         "t0_exact": profile.t0_exact,
         "lambda_sigma": _jsonable(profile.lambda_sigma),

@@ -23,7 +23,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate, special
 
 from .spectral import DomainError
 
@@ -106,6 +105,8 @@ def _exp_series_tail(coef: float, k: float, rate: float, p: float, m_from: float
     sum is bounded by int_{m_from}^inf coef x^k e^{-rate x^p} dx, evaluated
     through the upper incomplete gamma function.
     """
+    from scipy import special
+
     if rate <= 0 or p <= 0:
         return math.inf
     a = (k + 1.0) / p
@@ -181,6 +182,8 @@ class PowerSeriesKernel(Kernel):
         return _maybe_scalar(out, scalar)
 
     def integral_to_inf(self) -> float:
+        from scipy import special
+
         q = self.p - self._k
         if q <= 1.0:
             return math.inf
@@ -188,6 +191,8 @@ class PowerSeriesKernel(Kernel):
         return self.C / self.delta * float(special.zeta(q))
 
     def epsilon_integral(self, eps: float) -> tuple[bool, float]:
+        from scipy import special
+
         _check_eps(eps)
         # term_m ~ C Gamma(1-eps) (delta m^p)^{eps-1} m^k: converges iff
         # p(1-eps) - k > 1.
@@ -205,6 +210,8 @@ class PowerSeriesKernel(Kernel):
         return True, total + 0.5 * tail if tail < 1e-9 else self._eps_refine(eps, total, M)
 
     def _eps_refine(self, eps, total, M):
+        from scipy import special
+
         g = special.gamma(1.0 - eps)
         while True:
             m = np.arange(M + 1, 2 * M + 1, dtype=float)
@@ -300,6 +307,8 @@ class ModeSeriesKernel(Kernel):
         return head + 0.5 * self._integral_tail()
 
     def epsilon_integral(self, eps: float) -> tuple[bool, float]:
+        from scipy import special
+
         _check_eps(eps)
         q = self.rate_exponent * (1.0 - eps)
         if q <= 1.0:
@@ -401,6 +410,8 @@ def logharnack_constant_from_phi(t0: float, t: float, lambda_sigma: float) -> fl
     With Phi(s) = 6^{1+s/t0}, the constant is 1 / (2 lambda int_0^t Phi(s)^{-1} ds).
     Must agree with :func:`logharnack_constant` to quadrature accuracy.
     """
+    from scipy import integrate
+
     if t <= 0:
         raise DomainError("t must be positive")
     if math.isinf(t0):

@@ -80,6 +80,13 @@ def _merged_stats(parts) -> Stats:
     return Stats(mean=float(mean), se=se, var=float(var), se_var=se_var, count=m)
 
 
+def _require_finite(what: str, **fields):
+    """Raise ``EstimationError`` naming ``what`` and the first non-finite field."""
+    for key, value in fields.items():
+        if not math.isfinite(value):
+            raise EstimationError(f"{what}: {key} is not finite ({value})")
+
+
 @dataclass
 class CheckReport:
     """One inequality verification record."""
@@ -176,15 +183,16 @@ class MonteCarlo:
             for name, evaluate in evaluators.items():
                 with np.errstate(over="ignore", invalid="ignore"):
                     vals = evaluate(res)
-                bad = ~np.isfinite(vals)
-                if bad.any():
-                    raise EstimationError(
-                        f"non-finite values of {name!r} on paths {block[bad][:5].tolist()}")
-                sums[name] = _moments(vals)
+                    bad = ~np.isfinite(vals)
+                    if bad.any():
+                        raise EstimationError(
+                            f"non-finite values of {name!r} on paths {block[bad][:5].tolist()}")
+                    sums[name] = _moments(vals)
             return sums
 
         partials = self._map_blocks(worker, blocks)   # in ascending block order
-        return {name: _merged_stats([p[name] for p in partials]) for name in evaluators}
+        with np.errstate(over="ignore", invalid="ignore"):
+            return {name: _merged_stats([p[name] for p in partials]) for name in evaluators}
 
     # -- expectations ----------------------------------------------------------
 
@@ -223,6 +231,7 @@ class MonteCarlo:
     # -- inequality checks -----------------------------------------------------
 
     def _report(self, name, lhs, lhs_se, rhs, rhs_se, const, k, t, M) -> CheckReport:
+        _require_finite(f"{name} check", lhs_hat=lhs, lhs_se=lhs_se, rhs_hat=rhs, rhs_se=rhs_se)
         return CheckReport(
             inequality=name, lhs_hat=lhs, lhs_se=lhs_se, rhs_hat=rhs, rhs_se=rhs_se,
             constant_used=const, slack=k, passed=_passes(lhs, lhs_se, rhs, rhs_se, k),
@@ -306,6 +315,8 @@ class MonteCarlo:
             f"|X_t|^2 at t = {s * dt!r}":
                 lambda r, s=s: np.sum(r["checkpoints"][s] ** 2, axis=-1)
             for s in steps}, checkpoint_steps=steps)
+        for name, m in st.items():
+            _require_finite(name, mean=m.mean, stderr=m.se)
         return [(s * dt, m.mean, m.se) for s, m in zip(steps, st.values())]
 
     def convergence_study(self, build, n_list, N: int, x0_full, t: float, M: int):
@@ -340,6 +351,8 @@ class MonteCarlo:
 
         st = self._sample(x0_full, t, M, {
             f"gap at n = {lv}": lambda r, lv=lv: gap(r, lv) for lv in levels}, run=run)
+        for name, m in st.items():
+            _require_finite(name, mean=m.mean, stderr=m.se)
         gaps = dict(zip(levels, st.values()))
         return [(lv, gaps[lv].mean, gaps[lv].se) if lv in gaps else (lv, 0.0, 0.0)
                 for lv in n_list]

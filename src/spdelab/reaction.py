@@ -71,9 +71,15 @@ class ScalarFunctionSpec:
     @classmethod
     def atan_scaled(cls, a: float) -> "ScalarFunctionSpec":
         half_pi = math.pi / 2.0
+
+        def deriv(s):
+            # past |s| ~ 1e154 the square overflows to inf and the quotient is 0
+            with np.errstate(over="ignore"):
+                return a / (1.0 + np.asarray(s, float) ** 2)
+
         return cls(name=f"atan_scaled({a:g})",
                    fn=lambda s: a * np.arctan(s),
-                   deriv=lambda s: a / (1.0 + np.asarray(s, float) ** 2),
+                   deriv=deriv,
                    lipschitz=abs(a),
                    inf_sq=0.0,
                    sup_sq=(a * half_pi) ** 2)

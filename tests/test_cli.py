@@ -54,6 +54,11 @@ def ou_model_file(tmp_path):
     return str(p)
 
 
+def _env():
+    """Environment for a fresh interpreter that imports this spdelab."""
+    return dict(os.environ, PYTHONPATH=str(Path(spdelab.__file__).parents[1]))
+
+
 def write_experiment(tmp_path, **kv):
     p = tmp_path / "exp.ini"
     body = "[experiment]\n" + "".join(f"{k} = {v}\n" for k, v in kv.items())
@@ -76,6 +81,17 @@ class TestValidate:
         code = main(["validate", "--model", str(bad), "--out", str(tmp_path / "r.json")])
         assert code == 2
         assert "uniform_ellipticity" in capsys.readouterr().err
+
+    def test_tail_warning_printed_once(self, tmp_path):
+        # the kernel values import scipy.special after t0 has warned; that
+        # import resets the warning registry, so check in a fresh process
+        model = tmp_path / "slow.ini"
+        model.write_text(RD_MODEL.replace("value = 2.0", "value = 0.6"))
+        proc = subprocess.run([sys.executable, "-m", "spdelab.cli", "validate", "--model",
+                               str(model), "--out", str(tmp_path / "r.json")],
+                              capture_output=True, text=True, env=_env())
+        assert proc.returncode == 0
+        assert proc.stderr.count("UserWarning: mode-series integral tail bound") == 1
 
     def test_empty_model_file(self, tmp_path, capsys):
         empty = tmp_path / "empty.ini"
@@ -284,20 +300,52 @@ def test_bad_input_file_exits_2(model, experiment, named, tmp_path, capsys):
     assert named in err
 
 
-@pytest.mark.parametrize("argv", [
-    ["converge", "--model", "preset:ou8"],
-    ["invariant", "--model", "preset:ou-invariant"],
-], ids=["converge", "invariant"])
-def test_nonfinite_estimate_exits_3(argv, tmp_path):
-    # |x|^2 overflows although every state stays finite; run as a process so
-    # that numpy warnings would show on stderr
-    cfg = write_experiment(tmp_path, x="1e160*ones", m="20", t="0.05", t_end="0.05",
-                           checkpoints="2", dt="1e-2", n_list="2 4", bign="8")
+def _run_at_huge_start(argv, tmp_path, x="1e160*ones"):
+    # per-path values are so large that they, or their squares, overflow; run
+    # as a process so that numpy warnings would show on stderr
+    cfg = write_experiment(tmp_path, x=x, m="20", t="0.05", t_end="0.05",
+                           checkpoints="2", dt="1e-2", n_list="2 4", bign="8", f="coord1")
     out = tmp_path / "out"
-    env = dict(os.environ, PYTHONPATH=str(Path(spdelab.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-m", "spdelab.cli", *argv, "--config", cfg,
-                           "--out", str(out)], capture_output=True, text=True, env=env)
+                           "--out", str(out)], capture_output=True, text=True, env=_env())
+    return proc, out
+
+
+@pytest.mark.parametrize("argv, x", [
+    (["converge", "--model", "preset:ou8"], "1e160*ones"),
+    (["invariant", "--model", "preset:ou-invariant"], "1e160*ones"),
+    (["check", "poincare", "--model", "preset:ou8"], "1e160*ones"),
+    (["converge", "--model", "preset:ou8"], "1e100*ones"),
+    (["invariant", "--model", "preset:ou-invariant"], "1e100*ones"),
+], ids=["converge", "invariant", "poincare", "converge-moments", "invariant-moments"])
+def test_nonfinite_estimate_exits_3(argv, x, tmp_path):
+    # at 1e160 |x|^2 overflows per path; at 1e100 only the merged moments do
+    proc, out = _run_at_huge_start(argv, tmp_path, x)
     assert proc.returncode == 3
     assert proc.stderr.startswith("numerical failure: ")
     assert proc.stderr.count("\n") == 1
     assert not out.exists()
+
+
+def test_finite_estimate_at_huge_start_is_quiet(tmp_path):
+    # f's moments overflow, but the gradient check reports only finite fields
+    proc, out = _run_at_huge_start(["check", "gradient", "--model", "preset:ou8"], tmp_path)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert math.isfinite(json.loads(out.read_text())["lhs_se"])
+
+
+def test_cold_start_loads_no_scipy(tmp_path):
+    # the test process itself has imported scipy, so check in a fresh one
+    cfg = write_experiment(tmp_path, m="8", t="0.01")
+    code = (
+        "import sys\n"
+        "import spdelab, spdelab.cli\n"
+        f"code = spdelab.cli.main(['check', 'gradient', '--model', 'preset:rd16', "
+        f"'--config', {cfg!r}, '--out', {str(tmp_path / 'out')!r}])\n"
+        "assert code == 0, code\n"
+        "loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
+        "assert not loaded, loaded\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_env())
+    assert proc.returncode == 0, proc.stderr

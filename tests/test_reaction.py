@@ -42,6 +42,11 @@ class TestScalarSpecs:
         assert ATAN_PSI.sup_sq == pytest.approx((0.5 * math.pi / 2) ** 2)
         assert spot_check_lipschitz(ATAN_PSI)
 
+    def test_atan_scaled_derivative_at_huge_values(self):
+        # the square overflows past |s| ~ 1e154; the derivative is then 0, silently
+        np.testing.assert_array_equal(ATAN_PSI.deriv([1e160, -1e200, 0.0, 2.0]),
+                                      [0.0, 0.0, 0.5, 0.1])
+
     def test_lipschitz_spot_check_catches_lies(self):
         bad = ScalarFunctionSpec.custom(lambda s: 10 * s, lipschitz=1.0, inf_sq=0.0,
                                         sup_sq=math.inf, growth_sq_slope=100.0,
