@@ -41,15 +41,9 @@ class ConfigError(ValueError):
     pass
 
 
-def _g17(x) -> float:
-    return float(f"{float(x):.17g}")
-
-
 def _jsonable(x):
-    if isinstance(x, float) and math.isinf(x):
-        return "inf"
     if isinstance(x, float):
-        return _g17(x)
+        return "inf" if math.isinf(x) else float(x)
     return x
 
 
@@ -262,9 +256,6 @@ def cmd_validate(handle: ModelHandle, cfg: dict, args) -> int:
     report = {
         "model": handle.name,
         "t_grid": t_grid,
-        # integrals before values: a series value imports scipy.special, whose
-        # import resets the warning registry, so an integral tail warning
-        # raised after it would print a second time
         "phi_b": [_jsonable(float(np.atleast_1d(profile.Kb.integral(t))[0])) for t in t_grid],
         "phi_sigma": [_jsonable(float(np.atleast_1d(profile.Ksigma.integral(t))[0])) for t in t_grid],
         "Kb": [_jsonable(float(np.atleast_1d(profile.Kb.value(t))[0])) for t in t_grid],
@@ -413,11 +404,13 @@ def cmd_dump_trajectories(handle: ModelHandle, cfg: dict, args) -> int:
     header = "path_id,step,t," + ",".join(f"coeff_{i}" for i in range(handle.n))
     buf.write(header + "\n")
     cb = handle.callbacks()
+    steps = range(scfg.n_steps + 1)
     for pid in range(M):
-        def record(step, t, x, pid=pid):
-            coeffs = ",".join(repr(float(c)) for c in x[0])
-            buf.write(f"{pid},{step},{t!r},{coeffs}\n")
-        simulate_batch(x0, [pid], scfg, handle.lambdas, cb, noise, record=record)
+        snaps = simulate_batch(x0, [pid], scfg, handle.lambdas, cb, noise,
+                               checkpoint_steps=steps)["checkpoints"]
+        for k in steps:
+            coeffs = ",".join(repr(float(c)) for c in snaps[k][0])
+            buf.write(f"{pid},{k},{k * scfg.realized_dt!r},{coeffs}\n")
     _write(args.out, buf.getvalue())
     return EXIT_PASS
 

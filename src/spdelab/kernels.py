@@ -196,33 +196,21 @@ class PowerSeriesKernel(Kernel):
         _check_eps(eps)
         # term_m ~ C Gamma(1-eps) (delta m^p)^{eps-1} m^k: converges iff
         # p(1-eps) - k > 1.
-        if self.p * (1.0 - eps) - self._k <= 1.0:
-            return False, math.inf
-        M = 2048
-        m = np.arange(1, M + 1, dtype=float)
-        r = self.delta * m**self.p
-        g = special.gamma(1.0 - eps)
-        terms = self.C * m**self._k * r ** (eps - 1.0) * g * special.gammainc(1.0 - eps, r)
-        total = float(terms.sum())
-        # power-law tail of the term sequence
         q = self.p * (1.0 - eps) - self._k
-        tail = self.C * g * self.delta ** (eps - 1.0) * M ** (1.0 - q) / (q - 1.0)
-        return True, total + 0.5 * tail if tail < 1e-9 else self._eps_refine(eps, total, M)
-
-    def _eps_refine(self, eps, total, M):
-        from scipy import special
-
+        if q <= 1.0:
+            return False, math.inf
         g = special.gamma(1.0 - eps)
+        total, lo, M = 0.0, 0, 2048
         while True:
-            m = np.arange(M + 1, 2 * M + 1, dtype=float)
+            m = np.arange(lo + 1, M + 1, dtype=float)
             r = self.delta * m**self.p
             terms = self.C * m**self._k * r ** (eps - 1.0) * g * special.gammainc(1.0 - eps, r)
             total += float(terms.sum())
-            M *= 2
-            q = self.p * (1.0 - eps) - self._k
+            # power-law tail of the term sequence past M
             tail = self.C * g * self.delta ** (eps - 1.0) * M ** (1.0 - q) / (q - 1.0)
             if tail < 1e-9 or M > 5_000_000:
-                return total + 0.5 * tail
+                return True, total + 0.5 * tail
+            lo, M = M, 2 * M
 
 
 @dataclass(frozen=True)
@@ -247,6 +235,12 @@ class ModeSeriesKernel(Kernel):
             raise DomainError("weights must be >= 0 and rates > 0")
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "rates", np.sort(r) if np.any(np.diff(r) < 0) else r)
+        # the integral's tail depends on the stored modes only: warn once, naming
+        # the line that built the kernel
+        tail = self._integral_tail() if self.rate_exponent > 1.0 else 0.0
+        if tail > TRUNCATION_TOL:
+            warnings.warn(f"mode-series integral tail bound {tail:.2e} above tolerance; "
+                          "store more modes", stacklevel=3)
 
     @property
     def _M(self) -> int:
@@ -285,20 +279,12 @@ class ModeSeriesKernel(Kernel):
         out = np.empty_like(t_arr)
         for i, ti in enumerate(t_arr):
             out[i] = float(np.sum(self.weights * -np.expm1(-self.rates * ti) / self.rates))
-        self._warn_integral_tail()
         return _maybe_scalar(out, scalar)
 
     def _integral_tail(self) -> float:
         w_env, kappa = self._tail_env()
         q = self.rate_exponent
         return w_env / kappa * self._M ** (1.0 - q) / (q - 1.0)
-
-    def _warn_integral_tail(self):
-        tail = self._integral_tail()
-        if tail > TRUNCATION_TOL:
-            warnings.warn(
-                f"mode-series integral tail bound {tail:.2e} above tolerance; "
-                "store more modes", stacklevel=2)
 
     def integral_to_inf(self) -> float:
         if self.rate_exponent <= 1.0:

@@ -110,9 +110,8 @@ class CheckReport:
 
     def to_json(self) -> str:
         d = self.to_dict()
-        for key in ("lhs_hat", "lhs_se", "rhs_hat", "rhs_se", "constant_used", "dt", "t"):
-            d[key] = float(f"{d[key]:.17g}")
-        d["slack"] = float(f"{d['slack']:.17g}")
+        for key in ("lhs_hat", "lhs_se", "rhs_hat", "rhs_se", "constant_used", "slack", "dt", "t"):
+            d[key] = float(d[key])
         d["passed"] = bool(d["passed"])
         for key in ("M", "n", "seed"):
             d[key] = int(d[key])
@@ -124,6 +123,18 @@ def _passes(lhs_hat, lhs_se, rhs_hat, rhs_se, k) -> bool:
     # constant, zero stderr) from failing by one ulp of summation noise
     guard = 8 * np.finfo(float).eps * max(abs(lhs_hat), abs(rhs_hat))
     return lhs_hat - k * lhs_se <= rhs_hat + k * rhs_se + guard
+
+
+def _pairing(f: Functional):
+    """Per-path evaluator <grad f(X_t), J_t>: the pathwise derivative of f along the flow."""
+    return lambda r: np.sum(f.grad(r["x"]) * r["flow"], axis=-1)
+
+
+def _directional_sq(pair: Stats, v) -> tuple[float, float]:
+    """|d_v P_t f|^2 / |v|^2 from the pairing's stats, with its delta-method stderr."""
+    v2 = float(np.sum(np.asarray(v, float) ** 2))
+    g = pair.mean
+    return g**2 / v2, 2.0 * abs(g) * pair.se / v2
 
 
 class MonteCarlo:
@@ -203,19 +214,8 @@ class MonteCarlo:
 
     def grad_via_flow(self, f: Functional, x0, v, t: float, M: int):
         """Estimate of the directional derivative d/d eps P_t f(x + eps v)."""
-        st = self.flow_stats(f, x0, v, t, M)
-        return st["pair"].mean, st["pair"].se
-
-    def flow_stats(self, f: Functional, x0, v, t: float, M: int) -> dict[str, Stats]:
-        """One derivative-flow pass: pairing <grad f(X), J>, |grad f|^2, f, |J|^2."""
-        v = np.asarray(v, dtype=float)
-        evaluators = {
-            "pair": lambda r: np.sum(f.grad(r["x"]) * r["flow"], axis=-1),
-            "gradsq": lambda r: f.grad_norm_sq(r["x"]),
-            "f": lambda r: f.eval(r["x"]),
-            "flowsq": lambda r: np.sum(r["flow"] ** 2, axis=-1),
-        }
-        return self._sample(x0, t, M, evaluators, v=v)
+        st = self._sample(x0, t, M, {"pair": _pairing(f)}, v=v)["pair"]
+        return st.mean, st.se
 
     def grad_via_fd(self, f: Functional, x0, v, eps: float, t: float, M: int):
         """Coupled finite-difference derivative (f(X^{x+eps v}) - f(X^x))/eps."""
@@ -241,10 +241,9 @@ class MonteCarlo:
     def check_gradient_bound(self, f: Functional, x0, v, t: float, t0: float,
                              M: int, k: float = 4.0) -> CheckReport:
         """|d_v P_t f|^2 / |v|^2 <= 6^{1+t/t0} P_t |grad f|^2."""
-        st = self.flow_stats(f, x0, v, t, M)
-        v2 = float(np.sum(np.asarray(v, float) ** 2))
-        g, se_g = st["pair"].mean, st["pair"].se
-        lhs, lhs_se = g**2 / v2, 2.0 * abs(g) * se_g / v2
+        st = self._sample(x0, t, M, {
+            "pair": _pairing(f), "gradsq": lambda r: f.grad_norm_sq(r["x"])}, v=v)
+        lhs, lhs_se = _directional_sq(st["pair"], v)
         const = kernels.gradient_constant(t, t0)
         rhs, rhs_se = const * st["gradsq"].mean, const * st["gradsq"].se
         return self._report("gradient", lhs, lhs_se, rhs, rhs_se, const, k, t, M)
@@ -273,10 +272,9 @@ class MonteCarlo:
     def check_variance_gradient(self, f: Functional, x0, v, t: float, t0: float,
                                 lambda_sigma: float, M: int, k: float = 4.0) -> CheckReport:
         """|d_v P_t f|^2 / |v|^2 <= C(t) (P_t f^2 - (P_t f)^2), same C as log-Harnack."""
-        st = self.flow_stats(f, x0, v, t, M)
-        v2 = float(np.sum(np.asarray(v, float) ** 2))
-        g, se_g = st["pair"].mean, st["pair"].se
-        lhs, lhs_se = g**2 / v2, 2.0 * abs(g) * se_g / v2
+        st = self._sample(x0, t, M, {
+            "pair": _pairing(f), "f": lambda r: f.eval(r["x"])}, v=v)
+        lhs, lhs_se = _directional_sq(st["pair"], v)
         const = kernels.logharnack_constant(t, t0, lambda_sigma)
         rhs, rhs_se = const * st["f"].var, const * st["f"].se_var
         return self._report("variance_gradient", lhs, lhs_se, rhs, rhs_se, const, k, t, M)
@@ -298,11 +296,11 @@ class MonteCarlo:
     def check_flow_bound(self, x0, v, t: float, t0: float, M: int,
                          k: float = 4.0) -> CheckReport:
         """E |J_t|^2 <= 6^{(t+t0)/t0} |v|^2 for the derivative flow J started at v."""
-        st = self.flow_stats(_dummy_functional(self.n), x0, v, t, M)
+        st = self._sample(x0, t, M, {"flowsq": lambda r: np.sum(r["flow"] ** 2, axis=-1)},
+                          v=v)["flowsq"]
         v2 = float(np.sum(np.asarray(v, float) ** 2))
         const = kernels.gradient_constant(t, t0)
-        return self._report("flow_bound", st["flowsq"].mean, st["flowsq"].se,
-                            const * v2, 0.0, const, k, t, M)
+        return self._report("flow_bound", st.mean, st.se, const * v2, 0.0, const, k, t, M)
 
     # -- moment curves and Galerkin convergence --------------------------------
 
@@ -356,11 +354,6 @@ class MonteCarlo:
         gaps = dict(zip(levels, st.values()))
         return [(lv, gaps[lv].mean, gaps[lv].se) if lv in gaps else (lv, 0.0, 0.0)
                 for lv in n_list]
-
-
-def _dummy_functional(n: int) -> Functional:
-    return Functional(name="zero", eval=lambda x: np.zeros(x.shape[0]),
-                      grad=lambda x: np.zeros_like(x))
 
 
 def plateau_verdict(rows, window: int = 3) -> str:

@@ -99,9 +99,8 @@ class CallbackBundle:
 
 
 def diagonal_constant_diffusion(phi0: float) -> CallbackBundle:
-    """b = 0, sigma = phi0 * Id: the exactly-solvable OU reference model."""
+    """b = 0 (no drift map), sigma = phi0 * Id: the exactly-solvable OU reference model."""
     return CallbackBundle(
-        drift=lambda x: np.zeros_like(x),
         diffusion_apply=lambda x, dw: phi0 * dw,
         drift_jacobian_apply=lambda x, h: np.zeros_like(h),
         diffusion_jacobian_apply=lambda x, h, dw: np.zeros_like(h),
@@ -135,14 +134,13 @@ def _chunk_sizes(n_steps: int, batch: int, width: int):
 def simulate_batch(x0: np.ndarray, path_ids, cfg: SchemeConfig, lambdas: np.ndarray,
                    cb: CallbackBundle, noise: NoiseStream, *,
                    y0: np.ndarray | None = None, v: np.ndarray | None = None,
-                   checkpoint_steps=(), record: Callable | None = None):
+                   checkpoint_steps=()):
     """Integrate a batch of paths; the workhorse behind every estimator.
 
     Modes (combinable): plain state, coupled second state ``y0`` fed the same
     noise, derivative flow started at ``v``.  ``checkpoint_steps`` collects
-    state snapshots (dict step -> (B, n) array); ``record`` is called as
-    ``record(step, t, x)`` after every step (and at step 0) for trajectory
-    dumps.
+    state snapshots (dict step -> (B, n) array), every step of a trajectory
+    dump included.
 
     Returns dict with keys 'x' and optionally 'y', 'flow', 'checkpoints'.
     """
@@ -165,8 +163,6 @@ def simulate_batch(x0: np.ndarray, path_ids, cfg: SchemeConfig, lambdas: np.ndar
     snaps = {}
     if 0 in checkpoint_steps:
         snaps[0] = x.copy()
-    if record is not None:
-        record(0, 0.0, x)
 
     reader = noise.open(path_ids)
     k = 0
@@ -183,8 +179,6 @@ def simulate_batch(x0: np.ndarray, path_ids, cfg: SchemeConfig, lambdas: np.ndar
             k += 1
             if k in checkpoint_steps:
                 snaps[k] = x.copy()
-            if record is not None:
-                record(k, k * dt, x)
         for what, arr in (("state", x), ("coupled state", y), ("derivative flow", flow)):
             if arr is not None:
                 _check_finite(what, arr, path_ids, k0, k)

@@ -117,14 +117,12 @@ def _enumerate_sorted_modes(domain: RectDomain, alpha: float, n: int):
 class EigenSpectrum:
     """Truncated spectrum: the first n modes in the canonical ordering.
 
-    ``synthesize`` fills in the rectangle, alpha and the multi-index of every
-    retained mode; built from a bare eigenvalue list, ``modes`` is None.  The
-    OU presets do not use this class: they carry a plain eigenvalue array.
+    ``synthesize`` fills in the multi-index of every retained mode; built from
+    a bare eigenvalue list, ``modes`` is None.  The OU presets do not use this
+    class: they carry a plain eigenvalue array.
     """
 
     lambdas: np.ndarray
-    alpha: float | None = None
-    domain: RectDomain | None = None
     modes: np.ndarray | None = None
 
     def __post_init__(self):
@@ -146,4 +144,4 @@ class EigenSpectrum:
         if n < 1:
             raise DomainError("need at least one mode")
         modes, lams = _enumerate_sorted_modes(domain, alpha, n)
-        return cls(lambdas=lams, alpha=alpha, domain=domain, modes=modes)
+        return cls(lambdas=lams, modes=modes)

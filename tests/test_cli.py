@@ -5,10 +5,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import spdelab
-from spdelab.cli import main
+from spdelab.cli import load_model, main
+from spdelab.noise import NoiseStream
+from spdelab.simulate import SchemeConfig, simulate_batch
 
 RD_MODEL = """
 [model]
@@ -83,8 +86,7 @@ class TestValidate:
         assert "uniform_ellipticity" in capsys.readouterr().err
 
     def test_tail_warning_printed_once(self, tmp_path):
-        # the kernel values import scipy.special after t0 has warned; that
-        # import resets the warning registry, so check in a fresh process
+        # which warnings were shown is process state, so count in a fresh one
         model = tmp_path / "slow.ini"
         model.write_text(RD_MODEL.replace("value = 2.0", "value = 0.6"))
         proc = subprocess.run([sys.executable, "-m", "spdelab.cli", "validate", "--model",
@@ -241,6 +243,14 @@ class TestDumps:
         first = lines[1].split(",")
         assert first[:3] == ["0", "0", "0.0"]
         assert [float(c) for c in first[3:]] == [1.0, 0.0, 0.0, 0.0]
+        handle = load_model(ou_model_file)
+        scfg = SchemeConfig(dt=5e-3, t_end=0.01)
+        rows = [line.split(",") for line in lines[1:]]
+        assert [r[2] for r in rows] == [repr(k * scfg.realized_dt) for k in range(3)] * 2
+        for pid, last in enumerate(rows[2::3]):
+            final = simulate_batch(np.eye(4)[0], [pid], scfg, handle.lambdas,
+                                   handle.callbacks(), NoiseStream(seed=3, width=4))["x"][0]
+            assert last[3:] == [repr(float(c)) for c in final]
 
     def test_field_csv(self, rd_model_file, tmp_path):
         cfg = write_experiment(tmp_path, x="e1")

@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spdelab
 from spdelab.kernels import (ConstantKernel, KernelError, ModeSeriesKernel,
                              PowerSeriesKernel, RegularityProfile, gradient_constant,
                              logharnack_constant, logharnack_constant_from_phi,
@@ -80,6 +85,26 @@ class TestPhi:
             diffs = np.diff(vals)
             assert np.all(diffs >= -1e-15)
             assert np.all(np.diff(diffs) <= 1e-12)
+
+
+def test_integral_tail_warned_once():
+    # importing scipy.special (by value) resets the warning registry, so the
+    # count is taken in a fresh process
+    script = "\n".join([
+        "import numpy as np",
+        "from spdelab.kernels import ModeSeriesKernel",
+        "m = np.arange(1, 4097, dtype=float)",
+        "k = ModeSeriesKernel(weights=np.ones(4096), rates=2 * (m * np.pi) ** 1.2,",
+        "                     rate_exponent=1.2)",
+        "k.integral(0.1), k.value(0.1), k.integral(0.2)",
+    ])
+    env = dict(os.environ, PYTHONPATH=str(Path(spdelab.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.count("mode-series integral tail bound") == 1
+    # the warning names the line that built the kernel
+    assert "<string>:4: UserWarning: mode-series integral tail bound" in proc.stderr
 
 
 class TestCriticalTime:
@@ -192,6 +217,14 @@ class TestEpsilonIntegrability:
             C=1.0, delta=1.0, p=2.0, mode_factor=True).epsilon_integral(0.25)
         assert not finite
         assert value == math.inf
+
+    def test_power_series_values_pinned(self):
+        # the first parameters leave a tail above 1e-9 after the first block
+        # of 2048 terms, so they also take the doubling blocks
+        assert PowerSeriesKernel(C=1.0, delta=1.0, p=4.0).epsilon_integral(0.5)[1] \
+            == 2.636764023512086
+        assert PowerSeriesKernel(C=2.0, delta=0.5, p=3.0).epsilon_integral(0.2)[1] \
+            == 3.5690772564109574
 
     def test_quadrature_crosscheck(self):
         from scipy.integrate import quad

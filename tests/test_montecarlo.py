@@ -96,6 +96,15 @@ class TestChecksDegenerate:
                                       np.eye(16)[0], 0.05, rd16_profile.t0, 200)
         assert rep.passed and rep.lhs_hat == 0.0 and rep.rhs_hat == 0.0
 
+    def test_gradient_ignores_unread_values(self):
+        # the gradient bound reads grad f only: a non-finite f(X_t) cannot fail it
+        mc = ou_mc([1.0, 2.0])
+        f = Functional(name="inf", eval=lambda x: np.full(x.shape[0], np.inf),
+                       grad=lambda x: np.zeros_like(x))
+        rep = mc.check_gradient_bound(f, np.zeros(2), np.array([1.0, 0.0]), 0.1,
+                                      math.inf, 200)
+        assert rep.passed and rep.lhs_hat == rep.rhs_hat == 0.0
+
     def test_logharnack_jensen_constant(self, rd16_profile, rd16, rd16_callbacks):
         mc = rd_mc(rd16, rd16_callbacks)
         x = np.zeros(16)

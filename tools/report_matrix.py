@@ -1,0 +1,108 @@
+#!/usr/bin/env python3
+"""Run the spdelab CLI over a fixed matrix of cases and store what each prints.
+
+    python3 tools/report_matrix.py --src path/to/old/src --out matrix_old
+    python3 tools/report_matrix.py --src src --out matrix_new
+    diff -r matrix_old matrix_new
+
+Every command runs on ``preset:rd16`` and ``preset:ou8`` at ``--threads`` 1
+and 2, once with a small experiment and once started at ``x = 1e160*ones``
+(with f = coord1, so per-path values are finite but huge).  ``converge`` and
+``invariant`` also run on their OU presets, and ``validate`` on a
+reaction-diffusion model whose kernel integral tail is above tolerance
+(alpha = 0.6).  Each case gets a directory holding ``stdout``, ``stderr`` and
+``exit_code``.
+
+Each case runs in a fresh interpreter with ``PYTHONPATH=SRC`` and, as working
+directory, a scratch directory holding the experiment and model files, so the
+file names a report carries are the same for any two source trees.  The path
+of SRC in stderr (warning locations) is written as ``<src>``.
+"""
+from __future__ import annotations
+
+import argparse
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+# f = 2 + sin(x_1) is strictly positive, so the log-Harnack check runs too
+SMALL = {"t": "0.02", "m": "48", "dt": "2e-3", "t_end": "0.02", "checkpoints": "2",
+         "n_list": "2 4", "bign": "8", "batch_size": "16", "f": "two_plus_sin1",
+         "y": "0.1*ones"}
+HUGE = dict(SMALL, x="1e160*ones", f="coord1")
+
+SLOW_TAIL_MODEL = """[model]
+kind = reaction_diffusion
+[domain]
+d = 1
+side_0 = 0 1
+[alpha]
+value = 0.6
+[psi]
+form = atan_scaled
+a = 0.5
+[phi]
+form = sin_perturbed
+c0 = 1.0
+amp = 0.1
+freq = 1.0
+[galerkin]
+n = 8
+quad_points = 32
+"""
+
+COMMANDS = (["validate"], ["constants"], ["check", "gradient"], ["check", "logharnack"],
+            ["check", "variance"], ["check", "poincare"], ["check", "flowbound"],
+            ["converge"], ["invariant"], ["dump-trajectories"], ["dump-field"])
+
+
+def cases():
+    """(name, argv, config name) of every case, in a fixed order."""
+    for model in ("rd16", "ou8"):
+        for cfg in ("small", "huge"):
+            for threads in ("1", "2"):
+                for cmd in COMMANDS:
+                    yield (f"{'-'.join(cmd)}_{model}_{cfg}_t{threads}",
+                           cmd + ["--model", f"preset:{model}", "--threads", threads], cfg)
+    for cmd, model in (("converge", "ou-converge"), ("invariant", "ou-invariant")):
+        for threads in ("1", "2"):
+            yield (f"{cmd}_{model}_small_t{threads}",
+                   [cmd, "--model", f"preset:{model}", "--threads", threads], "small")
+    yield "validate_alpha06", ["validate", "--model", "alpha06.ini"], "small"
+
+
+def write_inputs(work: Path):
+    for name, cfg in (("small", SMALL), ("huge", HUGE)):
+        body = "[experiment]\n" + "".join(f"{k} = {v}\n" for k, v in cfg.items())
+        (work / f"{name}.ini").write_text(body)
+    (work / "alpha06.ini").write_text(SLOW_TAIL_MODEL)
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--src", required=True, help="directory holding the spdelab package")
+    ap.add_argument("--out", required=True, help="directory to write the case outputs to")
+    args = ap.parse_args(argv)
+    src = str(Path(args.src).resolve())
+    out = Path(args.out)
+    env = dict(os.environ, PYTHONPATH=src)
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        write_inputs(work)
+        for name, cmd, cfg in cases():
+            proc = subprocess.run([sys.executable, "-m", "spdelab.cli", *cmd,
+                                   "--config", f"{cfg}.ini"],
+                                  cwd=work, env=env, capture_output=True, text=True)
+            case = out / name
+            case.mkdir(parents=True, exist_ok=True)
+            (case / "stdout").write_text(proc.stdout)
+            (case / "stderr").write_text(proc.stderr.replace(src, "<src>"))
+            (case / "exit_code").write_text(f"{proc.returncode}\n")
+            print(f"{proc.returncode} {name}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
