@@ -180,7 +180,11 @@ def load_experiment(path: str | None) -> dict:
         cp = _read_ini(path, "config file")
         if "experiment" in cp:
             for key, val in cp["experiment"].items():
-                cfg[key.lower()] = val
+                if key not in _DEFAULTS:
+                    raise ConfigError(f"unknown experiment key {key!r}")
+                cfg[key] = val
+    if not cfg["t"].replace(",", " ").split():
+        raise ConfigError("experiment key 't' needs at least one time")
     return cfg
 
 
@@ -256,15 +260,14 @@ def cmd_validate(handle: ModelHandle, cfg: dict, args) -> int:
     report = {
         "model": handle.name,
         "t_grid": t_grid,
-        "phi_b": [_jsonable(float(np.atleast_1d(profile.Kb.integral(t))[0])) for t in t_grid],
-        "phi_sigma": [_jsonable(float(np.atleast_1d(profile.Ksigma.integral(t))[0])) for t in t_grid],
-        "Kb": [_jsonable(float(np.atleast_1d(profile.Kb.value(t))[0])) for t in t_grid],
-        "Ksigma": [_jsonable(float(np.atleast_1d(profile.Ksigma.value(t))[0])) for t in t_grid],
+        "phi_b": [_jsonable(profile.Kb.integral(t)) for t in t_grid],
+        "phi_sigma": [_jsonable(profile.Ksigma.integral(t)) for t in t_grid],
+        "Kb": [_jsonable(profile.Kb.value(t)) for t in t_grid],
+        "Ksigma": [_jsonable(profile.Ksigma.value(t)) for t in t_grid],
         "t0": _jsonable(profile.t0),
         "t0_exact": profile.t0_exact,
         "lambda_sigma": _jsonable(profile.lambda_sigma),
-        "lambda_bar_sigma": _jsonable(profile.lambda_bar_sigma)
-        if profile.lambda_bar_sigma is not None else None,
+        "lambda_bar_sigma": _jsonable(profile.lambda_bar_sigma),
         "assumptions": verdicts,
     }
     _write(args.out, json.dumps(report, sort_keys=True, indent=1) + "\n")

@@ -54,17 +54,24 @@ class Kernel:
         raise NotImplementedError
 
 
-def _as_time_array(t, positive: bool):
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
+def _per_time(t, at, positive: bool):
+    """``at`` at each time of ``t``: a float for a number, an array for an array."""
+    t_arr = np.asarray(t, dtype=float)
     if positive and np.any(t_arr <= 0):
         raise DomainError("series kernels require t > 0 (series may diverge at 0)")
     if not positive and np.any(t_arr < 0):
         raise DomainError("time must be non-negative")
-    return t_arr, np.ndim(t) == 0
+    if t_arr.ndim == 0:
+        return float(at(float(t_arr)))
+    out = np.empty(t_arr.shape)
+    for i, ti in np.ndenumerate(t_arr):
+        out[i] = at(ti)
+    return out
 
 
-def _maybe_scalar(out, scalar):
-    return float(out[0]) if scalar else out
+def _mode_integral(w: np.ndarray, r: np.ndarray, t: float) -> float:
+    """sum_m w_m (1 - e^{-r_m t}) / r_m, the integral of sum_m w_m e^{-r_m s} over [0, t]."""
+    return float(np.sum(w * -np.expm1(-r * t) / r))
 
 
 @dataclass(frozen=True)
@@ -78,12 +85,10 @@ class ConstantKernel(Kernel):
             raise DomainError("Lipschitz constant must be non-negative")
 
     def value(self, t):
-        t_arr, scalar = _as_time_array(t, positive=False)
-        return _maybe_scalar(np.full_like(t_arr, self.c**2), scalar)
+        return _per_time(t, lambda s: self.c**2, positive=False)
 
     def integral(self, t):
-        t_arr, scalar = _as_time_array(t, positive=False)
-        return _maybe_scalar(self.c**2 * t_arr, scalar)
+        return _per_time(t, lambda s: self.c**2 * s, positive=False)
 
     def integral_to_inf(self) -> float:
         return 0.0 if self.c == 0 else math.inf
@@ -137,11 +142,7 @@ class PowerSeriesKernel(Kernel):
         return 1 if self.mode_factor else 0
 
     def value(self, t):
-        t_arr, scalar = _as_time_array(t, positive=True)
-        out = np.zeros_like(t_arr)
-        for i, ti in enumerate(t_arr):
-            out[i] = self._value_one(ti)
-        return _maybe_scalar(out, scalar)
+        return _per_time(t, self._value_one, positive=True)
 
     def _value_one(self, t: float) -> float:
         total = 0.0
@@ -158,28 +159,17 @@ class PowerSeriesKernel(Kernel):
             if m0 > 10_000_000:
                 raise KernelError("series did not reach truncation tolerance")
 
-    def _terms_needed_for_integral(self) -> int:
-        # phi terms are <= C/(delta m^p) (times m for k=1); power-law tail.
+    def integral(self, t):
+        # phi terms are <= C/(delta m^p) (times m for k=1), so the tail past M
+        # terms is <= C/(delta (q-1)) M^{1-q}; M is taken where that is below tol
         q = self.p - self._k
         if q <= 1.0:
-            raise KernelError(
-                "kernel time-integral series diverges (exponent p too small "
-                "for this form); kernel is not integrable"
-            )
-        # tail <= C/(delta (q-1)) M^{1-q} < tol
+            raise KernelError("kernel time-integral series diverges (exponent p too small "
+                              "for this form); kernel is not integrable")
         M = (self.C / (self.delta * (q - 1.0) * TRUNCATION_TOL)) ** (1.0 / (q - 1.0))
-        return int(min(max(M, 64), 5_000_000)) + 1
-
-    def integral(self, t):
-        t_arr, scalar = _as_time_array(t, positive=False)
-        M = self._terms_needed_for_integral()
-        m = np.arange(1, M + 1, dtype=float)
-        rates = self.delta * m**self.p
-        w = self.C * m**self._k
-        out = np.empty_like(t_arr)
-        for i, ti in enumerate(t_arr):
-            out[i] = float(np.sum(w * -np.expm1(-rates * ti) / rates))
-        return _maybe_scalar(out, scalar)
+        m = np.arange(1, int(min(max(M, 64), 5_000_000)) + 2, dtype=float)
+        w, rates = self.C * m**self._k, self.delta * m**self.p
+        return _per_time(t, lambda s: _mode_integral(w, rates, s), positive=False)
 
     def integral_to_inf(self) -> float:
         from scipy import special
@@ -242,13 +232,9 @@ class ModeSeriesKernel(Kernel):
             warnings.warn(f"mode-series integral tail bound {tail:.2e} above tolerance; "
                           "store more modes", stacklevel=3)
 
-    @property
-    def _M(self) -> int:
-        return self.weights.size
-
     def _tail_env(self):
         """Conservative envelope w_m <= w_env, r_m >= kappa m^p past M."""
-        M = self._M
+        M = self.weights.size
         half = max(1, M // 2)
         m = np.arange(1, M + 1, dtype=float)
         with np.errstate(divide="ignore"):
@@ -256,35 +242,26 @@ class ModeSeriesKernel(Kernel):
         return float(np.max(self.weights)), kappa
 
     def value(self, t):
-        t_arr, scalar = _as_time_array(t, positive=True)
-        out = np.empty_like(t_arr)
         w_env, kappa = self._tail_env()
-        for i, ti in enumerate(t_arr):
-            head = float(np.sum(self.weights * np.exp(-self.rates * ti)))
-            tail = _exp_series_tail(w_env, 0.0, kappa * ti, self.rate_exponent, self._M)
-            if tail > TRUNCATION_TOL:
-                warnings.warn(
-                    f"mode-series tail bound {tail:.2e} above tolerance at t={ti}; "
-                    "store more modes", stacklevel=2)
-            out[i] = head + 0.5 * tail
-        return _maybe_scalar(out, scalar)
 
-    def _check_integrable(self):
-        if self.rate_exponent <= 1.0:
-            raise KernelError("mode-series time integral diverges (rate growth too slow)")
+        def at(s):
+            head = float(np.sum(self.weights * np.exp(-self.rates * s)))
+            tail = _exp_series_tail(w_env, 0.0, kappa * s, self.rate_exponent, self.weights.size)
+            if tail > TRUNCATION_TOL:  # at, _per_time, value: name the calling line
+                warnings.warn(f"mode-series tail bound {tail:.2e} above tolerance at t={s}; "
+                              "store more modes", stacklevel=4)
+            return head + 0.5 * tail
+        return _per_time(t, at, positive=True)
 
     def integral(self, t):
-        self._check_integrable()
-        t_arr, scalar = _as_time_array(t, positive=False)
-        out = np.empty_like(t_arr)
-        for i, ti in enumerate(t_arr):
-            out[i] = float(np.sum(self.weights * -np.expm1(-self.rates * ti) / self.rates))
-        return _maybe_scalar(out, scalar)
+        if self.rate_exponent <= 1.0:
+            raise KernelError("mode-series time integral diverges (rate growth too slow)")
+        return _per_time(t, lambda s: _mode_integral(self.weights, self.rates, s), positive=False)
 
     def _integral_tail(self) -> float:
         w_env, kappa = self._tail_env()
         q = self.rate_exponent
-        return w_env / kappa * self._M ** (1.0 - q) / (q - 1.0)
+        return w_env / kappa * self.weights.size ** (1.0 - q) / (q - 1.0)
 
     def integral_to_inf(self) -> float:
         if self.rate_exponent <= 1.0:
@@ -302,7 +279,7 @@ class ModeSeriesKernel(Kernel):
         g = special.gamma(1.0 - eps)
         terms = self.weights * self.rates ** (eps - 1.0) * g * special.gammainc(1.0 - eps, self.rates)
         w_env, kappa = self._tail_env()
-        tail = w_env * g * kappa ** (eps - 1.0) * self._M ** (1.0 - q) / (q - 1.0)
+        tail = w_env * g * kappa ** (eps - 1.0) * self.weights.size ** (1.0 - q) / (q - 1.0)
         return True, float(terms.sum()) + 0.5 * tail
 
 

@@ -152,6 +152,8 @@ class MonteCarlo:
         self.batch_size = batch_size
         if noise.width < self.lambdas.size:
             raise ValueError("noise stream width is smaller than the mode count")
+        if batch_size < 1:
+            raise ValueError(f"batch_size must be at least 1, got {batch_size}")
 
     @property
     def n(self) -> int:

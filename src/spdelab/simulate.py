@@ -122,15 +122,6 @@ def _linear_update(lambdas: np.ndarray, dt: float, scheme: str) -> Callable:
     return lambda x, dx: x + (-lambdas * x) * dt + dx
 
 
-def _chunk_sizes(n_steps: int, batch: int, width: int):
-    chunk = max(1, _CHUNK_FLOAT_BUDGET // max(1, batch * width))
-    done = 0
-    while done < n_steps:
-        size = min(chunk, n_steps - done)
-        yield done, size
-        done += size
-
-
 def simulate_batch(x0: np.ndarray, path_ids, cfg: SchemeConfig, lambdas: np.ndarray,
                    cb: CallbackBundle, noise: NoiseStream, *,
                    y0: np.ndarray | None = None, v: np.ndarray | None = None,
@@ -164,24 +155,26 @@ def simulate_batch(x0: np.ndarray, path_ids, cfg: SchemeConfig, lambdas: np.ndar
     if 0 in checkpoint_steps:
         snaps[0] = x.copy()
 
+    # steps k0+1..k1 draw one noise chunk, freed before the next; sizes differ by <= 1
+    n_chunks = -(-K // max(1, _CHUNK_FLOAT_BUDGET // max(1, B * noise.width)))
     reader = noise.open(path_ids)
-    k = 0
-    for k0, size in _chunk_sizes(K, B, noise.width):
-        z = reader.draw(size, n)
-        for j in range(size):
-            dw = sqdt * z[:, j, :]
+    for c in range(n_chunks):
+        k0, k1 = c * K // n_chunks, (c + 1) * K // n_chunks
+        z = reader.draw(k1 - k0, n)
+        for k in range(k0 + 1, k1 + 1):
+            dw = sqdt * z[:, k - k0 - 1, :]
             dx, dflow = cb.increment(x, dw, dt, flow)
             if flow is not None:
                 flow = update(flow, dflow)
             if y is not None:
                 y = update(y, cb.increment(y, dw, dt)[0])
             x = update(x, dx)
-            k += 1
             if k in checkpoint_steps:
                 snaps[k] = x.copy()
+        del z
         for what, arr in (("state", x), ("coupled state", y), ("derivative flow", flow)):
             if arr is not None:
-                _check_finite(what, arr, path_ids, k0, k)
+                _check_finite(what, arr, path_ids, k0, k1)
 
     out = {"x": x}
     if y is not None:

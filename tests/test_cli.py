@@ -269,23 +269,37 @@ def test_unknown_preset():
     assert main(["validate", "--model", "preset:nope"]) == 2
 
 
-@pytest.mark.parametrize("argv, cfg", [
-    (["constants", "--model", "preset:ou8"], dict(t="-0.1")),
-    (["check", "gradient", "--model", "preset:ou8"], dict(f="nosuch", m="10")),
-    (["check", "flowbound", "--model", "preset:ou8"], dict(v="e9", m="10")),
-    (["check", "flowbound", "--model", "preset:ou8"], dict(v="e0", m="10")),
-    (["invariant", "--model", "preset:rd16"], dict(eps="1.5", m="10")),
-    (["dump-trajectories", "--model", "preset:ou8"], dict(dt="-1", m="1")),
+@pytest.mark.parametrize("argv, cfg, named", [
+    (["constants", "--model", "preset:ou8"], dict(t="-0.1"), ""),
+    (["check", "gradient", "--model", "preset:ou8"], dict(f="nosuch", m="10"), ""),
+    (["check", "flowbound", "--model", "preset:ou8"], dict(v="e9", m="10"), ""),
+    (["check", "flowbound", "--model", "preset:ou8"], dict(v="e0", m="10"), ""),
+    (["invariant", "--model", "preset:rd16"], dict(eps="1.5", m="10"), ""),
+    (["dump-trajectories", "--model", "preset:ou8"], dict(dt="-1", m="1"), ""),
     (["converge", "--model", "preset:ou8"],
-     dict(scheme="milstein", bign="8", n_list="2 4", m="10")),
+     dict(scheme="milstein", bign="8", n_list="2 4", m="10"), ""),
+    (["check", "gradient", "--model", "preset:ou8"], dict(t="", m="10"), "'t'"),
+    (["converge", "--model", "preset:ou8"], dict(t="", bign="8", n_list="2 4", m="10"), "'t'"),
+    (["check", "gradient", "--model", "preset:ou8"], dict(batch_size="-1", m="10"),
+     "batch_size"),
+    (["invariant", "--model", "preset:ou8"], dict(batch_size="-1", m="10"), "batch_size"),
+    (["check", "gradient", "--model", "preset:ou8"], dict(batch_size="0", m="10"),
+     "batch_size"),
+    (["check", "gradient", "--model", "preset:ou8"], dict(batchsize="5", m="10"),
+     "'batchsize'"),
+    (["constants", "--model", "preset:ou8"], dict(mm="10"), "'mm'"),
 ], ids=["constants-negative-t", "check-unknown-functional", "check-e9-on-ou8",
-        "check-e0", "invariant-eps-above-1", "dump-negative-dt", "converge-unknown-scheme"])
-def test_bad_config_exits_2(argv, cfg, tmp_path, capsys):
+        "check-e0", "invariant-eps-above-1", "dump-negative-dt", "converge-unknown-scheme",
+        "check-empty-t", "converge-empty-t", "check-negative-batch-size",
+        "invariant-negative-batch-size", "check-zero-batch-size", "misspelled-batch-size",
+        "misspelled-m"])
+def test_bad_config_exits_2(argv, cfg, named, tmp_path, capsys):
     out = tmp_path / "out"
     assert main(argv + ["--config", write_experiment(tmp_path, **cfg), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ")
     assert err.count("\n") == 1
+    assert named in err
     assert not out.exists()
 
 

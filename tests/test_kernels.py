@@ -1,7 +1,9 @@
+import inspect
 import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -105,6 +107,32 @@ def test_integral_tail_warned_once():
     assert proc.stderr.count("mode-series integral tail bound") == 1
     # the warning names the line that built the kernel
     assert "<string>:4: UserWarning: mode-series integral tail bound" in proc.stderr
+
+
+@pytest.mark.parametrize("kernel", [
+    ConstantKernel(1.5), PowerSeriesKernel(C=1.0, delta=1.0, p=4.0),
+    PowerSeriesKernel(C=1.0, delta=1.0, p=4.0, mode_factor=True), mode_series_d1(0.3, 2.0, 1024),
+], ids=["constant", "power-k0", "power-k1", "mode-series"])
+def test_array_times_match_scalar_calls(kernel):
+    t = np.array([0.01, 0.1, 0.7, 2.0])
+    for method in (kernel.value, kernel.integral):
+        scalars = [method(ti) for ti in t.tolist()]
+        assert all(type(s) is float for s in scalars)
+        out = method(t)
+        assert isinstance(out, np.ndarray) and out.shape == t.shape
+        np.testing.assert_array_equal(out, scalars)
+
+
+def test_value_tail_warning_names_calling_line():
+    # rates growing like m leave a value tail far above tolerance at every t
+    k = ModeSeriesKernel(weights=np.ones(8), rates=np.arange(1.0, 9.0), rate_exponent=1.0)
+    with warnings.catch_warnings(record=True) as rec:
+        warnings.simplefilter("always")
+        line = inspect.currentframe().f_lineno + 1
+        k.value(np.array([0.1, 0.2])), k.value(0.3)
+    assert [str(w.message).split(" at ")[1] for w in rec] == [
+        "t=0.1; store more modes", "t=0.2; store more modes", "t=0.3; store more modes"]
+    assert {(w.filename, w.lineno) for w in rec} == {(__file__, line)}
 
 
 class TestCriticalTime:

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from spdelab.noise import NoiseStream
+from spdelab import simulate
+from spdelab.noise import BatchReader, NoiseStream
 from spdelab.reaction import build_callbacks
 from spdelab.simulate import (CallbackBundle, SchemeConfig, SimulationError,
                               diagonal_constant_diffusion, ou_exact, simulate_batch)
@@ -93,6 +94,33 @@ class TestSimulatePath:
                                NoiseStream(seed=11, width=16))["x"][0]
                 for _ in range(2)]
         np.testing.assert_array_equal(runs[0], runs[1])
+
+    def test_equal_chunks_match_one_chunk(self, rd16, rd16_callbacks, monkeypatch):
+        cfg = SchemeConfig(dt=1e-3, t_end=0.007)
+        sizes = []
+        draw = BatchReader.draw
+
+        def recording_draw(self, n_steps, n_modes):
+            sizes.append(n_steps)
+            return draw(self, n_steps, n_modes)
+
+        def run():
+            return simulate_batch(np.full(16, 0.1), [0, 1, 2, 3], cfg, rd16.spectrum.lambdas,
+                                  rd16_callbacks, NoiseStream(seed=7, width=16),
+                                  y0=np.zeros(16), v=np.eye(16)[2], checkpoint_steps=range(8))
+        monkeypatch.setattr(BatchReader, "draw", recording_draw)
+        one = run()
+        assert sizes == [7]
+        # 4 paths x 16 modes x 3 steps: the 7 steps need 3 chunks
+        monkeypatch.setattr(simulate, "_CHUNK_FLOAT_BUDGET", 3 * 4 * 16)
+        sizes.clear()
+        chunked = run()
+        assert len(sizes) == 3 and sum(sizes) == 7 and max(sizes) - min(sizes) <= 1
+        for key in ("x", "y", "flow"):
+            np.testing.assert_array_equal(chunked[key], one[key])
+        assert chunked["checkpoints"].keys() == one["checkpoints"].keys() == set(range(8))
+        for k, snap in one["checkpoints"].items():
+            np.testing.assert_array_equal(chunked["checkpoints"][k], snap)
 
     def test_ou_moments(self):
         # one slow mode: mean e^{-t} x0, variance (1 - e^{-2})/2

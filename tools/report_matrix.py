@@ -10,8 +10,9 @@ and 2, once with a small experiment and once started at ``x = 1e160*ones``
 (with f = coord1, so per-path values are finite but huge).  ``converge`` and
 ``invariant`` also run on their OU presets, and ``validate`` on a
 reaction-diffusion model whose kernel integral tail is above tolerance
-(alpha = 0.6).  Each case gets a directory holding ``stdout``, ``stderr`` and
-``exit_code``.
+(alpha = 0.6).  One more ``invariant`` case runs a single batch long enough to
+be drawn in two noise chunks.  Each case gets a directory holding ``stdout``,
+``stderr`` and ``exit_code``.
 
 Each case runs in a fresh interpreter with ``PYTHONPATH=SRC`` and, as working
 directory, a scratch directory holding the experiment and model files, so the
@@ -32,6 +33,10 @@ SMALL = {"t": "0.02", "m": "48", "dt": "2e-3", "t_end": "0.02", "checkpoints": "
          "n_list": "2 4", "bign": "8", "batch_size": "16", "f": "two_plus_sin1",
          "y": "0.1*ones"}
 HUGE = dict(SMALL, x="1e160*ones", f="coord1")
+# 200 steps of 20000 paths take two noise chunks; the checkpoints fall on both
+# sides of the chunk edge
+CHUNKS = {"m": "20000", "batch_size": "20000", "t_end": "0.2", "dt": "1e-3",
+          "checkpoints": "6"}
 
 SLOW_TAIL_MODEL = """[model]
 kind = reaction_diffusion
@@ -71,10 +76,12 @@ def cases():
             yield (f"{cmd}_{model}_small_t{threads}",
                    [cmd, "--model", f"preset:{model}", "--threads", threads], "small")
     yield "validate_alpha06", ["validate", "--model", "alpha06.ini"], "small"
+    yield ("invariant_ou-invariant_chunks",
+           ["invariant", "--model", "preset:ou-invariant"], "chunks")
 
 
 def write_inputs(work: Path):
-    for name, cfg in (("small", SMALL), ("huge", HUGE)):
+    for name, cfg in (("small", SMALL), ("huge", HUGE), ("chunks", CHUNKS)):
         body = "[experiment]\n" + "".join(f"{k} = {v}\n" for k, v in cfg.items())
         (work / f"{name}.ini").write_text(body)
     (work / "alpha06.ini").write_text(SLOW_TAIL_MODEL)
