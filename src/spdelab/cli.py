@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import io
 import json
 import math
@@ -22,11 +23,9 @@ import numpy as np
 
 from . import kernels, presets
 from .functionals import by_name as functional_by_name
-from .kernels import ConstantKernel, RegularityProfile
 from .montecarlo import EstimationError, MonteCarlo, plateau_verdict
 from .noise import NoiseStream
-from .reaction import (ReactionDiffusionModel, ScalarFunctionSpec, build_callbacks,
-                       build_profile, check_growth_condition,
+from .reaction import (ReactionDiffusionModel, ScalarFunctionSpec, check_growth_condition,
                        spot_check_lipschitz, spot_check_square_bounds)
 from .simulate import SchemeConfig, SimulationError, simulate_batch
 from .spectral import RectDomain
@@ -62,49 +61,20 @@ def _parse_scalar_spec(section) -> ScalarFunctionSpec:
         raise ConfigError(f"unknown scalar function form {form!r}")
     keys, ctor = _SCALAR_FORMS[form]
     try:
-        args = [float(section[k]) for k in keys]
+        args = [_number(section[k], f"[{section.name}] {k}") for k in keys]
     except KeyError as e:
         raise ConfigError(f"scalar form {form!r} needs key {e}") from None
     return ctor(*args)
 
 
-class ModelHandle:
-    """Uniform access to either model kind: spectrum, callbacks, profile."""
-
-    def __init__(self, kind: str, name: str, reaction=None, ou=None):
-        self.kind = kind
-        self.name = name
-        self.reaction = reaction
-        self.ou = ou
-
-    @property
-    def n(self) -> int:
-        return self.reaction.n if self.kind == "reaction" else self.ou.n
-
-    @property
-    def lambdas(self) -> np.ndarray:
-        if self.kind == "reaction":
-            return self.reaction.spectrum.lambdas
-        return self.ou.lambdas
-
-    def callbacks(self):
-        if self.kind == "reaction":
-            return build_callbacks(self.reaction)
-        return self.ou.callbacks
-
-    def profile(self) -> RegularityProfile:
-        if self.kind == "reaction":
-            return build_profile(self.reaction)
-        lam = self.ou.phi0**2  # constant sigma: both ellipticity bounds are phi0^2
-        return RegularityProfile(Kb=ConstantKernel(0.0), Ksigma=ConstantKernel(0.0),
-                                 lambda_sigma=lam, lambda_bar_sigma=lam)
-
+# both model kinds answer n, lambdas, callbacks and profile()
+Model = ReactionDiffusionModel | presets.OUPreset
 
 _PRESETS = {
-    "rd16": lambda: ModelHandle("reaction", "rd16", reaction=presets.bounded_reaction_model()),
-    "ou8": lambda: ModelHandle("ou", "ou8", ou=presets.ou_moments_preset()),
-    "ou-converge": lambda: ModelHandle("ou", "ou-converge", ou=presets.ou_convergence_preset()),
-    "ou-invariant": lambda: ModelHandle("ou", "ou-invariant", ou=presets.ou_invariant_preset()),
+    "rd16": presets.bounded_reaction_model,
+    "ou8": presets.ou_moments_preset,
+    "ou-converge": presets.ou_convergence_preset,
+    "ou-invariant": presets.ou_invariant_preset,
 }
 
 
@@ -119,7 +89,7 @@ def _read_ini(path: str, what: str) -> configparser.ConfigParser:
     return cp
 
 
-def load_model(spec: str) -> ModelHandle:
+def load_model(spec: str) -> Model:
     if spec.startswith("preset:"):
         name = spec.split(":", 1)[1]
         if name not in _PRESETS:
@@ -132,11 +102,8 @@ def load_model(spec: str) -> ModelHandle:
     if kind == "ou":
         if "ou" not in cp or "lambdas" not in cp["ou"]:
             raise ConfigError("ou model file needs an [ou] section with lambdas")
-        lambdas = _floats(cp["ou"]["lambdas"])
-        if not lambdas or min(lambdas) <= 0:
-            raise ConfigError("ou lambdas must be positive")
-        phi0 = float(cp["ou"].get("phi0", "1.0"))
-        return ModelHandle("ou", spec, ou=presets.OUPreset(lambdas, phi0))
+        return presets.OUPreset(_floats(cp["ou"]["lambdas"], "[ou] lambdas"),
+                                _number(cp["ou"].get("phi0", "1.0"), "[ou] phi0"))
     if kind != "reaction_diffusion":
         raise ConfigError(f"unknown model kind {kind!r}")
     for sec in ("domain", "alpha", "psi", "phi", "galerkin"):
@@ -146,13 +113,13 @@ def load_model(spec: str) -> ModelHandle:
         sides = []
         for i in range(cp["domain"].getint("d", fallback=1)):
             raw = cp["domain"].get(f"side_{i}", "0 1")
-            ends = raw.replace(",", " ").split()
+            ends = _floats(raw, f"[domain] side_{i}")
             if len(ends) != 2:
                 raise ConfigError(f"domain side_{i} needs two numbers 'a b', got {raw!r}")
-            sides.append((float(ends[0]), float(ends[1])))
-        model = ReactionDiffusionModel(
+            sides.append(tuple(ends))
+        return ReactionDiffusionModel(
             domain=RectDomain(sides=tuple(sides)),
-            alpha=float(cp["alpha"]["value"]),
+            alpha=_number(cp["alpha"]["value"], "[alpha] value"),
             psi=_parse_scalar_spec(cp["psi"]),
             phi=_parse_scalar_spec(cp["phi"]),
             n=cp["galerkin"].getint("n"),
@@ -160,7 +127,6 @@ def load_model(spec: str) -> ModelHandle:
         )
     except (KeyError, TypeError, ValueError) as e:
         raise ConfigError(f"invalid model file {spec!r}: {e}") from e
-    return ModelHandle("reaction", spec, reaction=model)
 
 
 # -- experiment config -----------------------------------------------------------
@@ -188,20 +154,27 @@ def load_experiment(path: str | None) -> dict:
     return cfg
 
 
-def _floats(raw: str) -> list[float]:
-    return [float(v) for v in raw.replace(",", " ").split()]
+def _number(raw: str, key: str) -> float:
+    """A finite number read from an input file; errors name the key."""
+    try:
+        val = float(raw)
+    except ValueError:
+        val = math.nan
+    if not math.isfinite(val):
+        raise ConfigError(f"{key} = {raw.strip()!r} is not a finite number")
+    return val
 
 
-def _ints(raw: str) -> list[int]:
-    return [int(v) for v in raw.replace(",", " ").split()]
+def _floats(raw: str, key: str) -> list[float]:
+    return [_number(v, key) for v in raw.replace(",", " ").split()]
 
 
-def _vector(raw: str, n: int) -> np.ndarray:
+def _vector(raw: str, n: int, key: str) -> np.ndarray:
     raw = raw.strip()
     scale = 1.0
     if "*" in raw:
         s, raw = raw.split("*", 1)
-        scale = float(s)
+        scale = _number(s, key)
         raw = raw.strip()
     if raw == "zeros":
         vec = np.zeros(n)
@@ -217,7 +190,7 @@ def _vector(raw: str, n: int) -> np.ndarray:
         g = np.random.default_rng(2024).normal(size=n)
         vec = g / np.linalg.norm(g)
     else:
-        vec = np.array(_floats(raw))
+        vec = np.array(_floats(raw, key))
         if vec.size != n:
             raise ConfigError(f"vector has {vec.size} entries, model has {n} modes")
     return scale * vec
@@ -233,8 +206,9 @@ def _write(out_path: str | None, text: str):
 
 def _make_mc(cfg: dict, lambdas: np.ndarray, callbacks) -> MonteCarlo:
     noise = NoiseStream(seed=int(cfg["seed"]), width=lambdas.size)
-    return MonteCarlo(lambdas, callbacks, noise, dt=float(cfg["dt"]), scheme=cfg["scheme"],
-                      threads=int(cfg["threads"]), batch_size=int(cfg["batch_size"]))
+    return MonteCarlo(lambdas, callbacks, noise, dt=_number(cfg["dt"], "dt"),
+                      scheme=cfg["scheme"], threads=int(cfg["threads"]),
+                      batch_size=int(cfg["batch_size"]))
 
 
 # -- commands --------------------------------------------------------------------
@@ -243,22 +217,21 @@ def _make_mc(cfg: dict, lambdas: np.ndarray, callbacks) -> MonteCarlo:
 # --threads already applied) and the parsed flags, and returns an exit code;
 # ``main`` turns the errors they raise into exit codes 2 and 3.
 
-def cmd_validate(handle: ModelHandle, cfg: dict, args) -> int:
-    profile = handle.profile()
+def cmd_validate(model: Model, cfg: dict, args) -> int:
+    profile = model.profile()
     t_grid = [0.01, 0.1, 0.5, 1.0]
     verdicts = {}
-    if handle.kind == "reaction":
-        m = handle.reaction
-        verdicts["psi_lipschitz"] = spot_check_lipschitz(m.psi)
-        verdicts["phi_lipschitz"] = spot_check_lipschitz(m.phi)
-        verdicts["psi_square_bounds"] = spot_check_square_bounds(m.psi)
-        verdicts["phi_square_bounds"] = spot_check_square_bounds(m.phi)
+    if isinstance(model, ReactionDiffusionModel):
+        verdicts["psi_lipschitz"] = spot_check_lipschitz(model.psi)
+        verdicts["phi_lipschitz"] = spot_check_lipschitz(model.phi)
+        verdicts["psi_square_bounds"] = spot_check_square_bounds(model.psi)
+        verdicts["phi_square_bounds"] = spot_check_square_bounds(model.phi)
     verdicts["kernels_integrable"] = math.isfinite(
         profile.Kb.integral(1.0) + profile.Ksigma.integral(1.0))
     verdicts["uniform_ellipticity"] = profile.lambda_sigma > 0
     verdicts["sigma_bounded_above"] = profile.lambda_bar_sigma is not None
     report = {
-        "model": handle.name,
+        "model": args.model.removeprefix("preset:"),
         "t_grid": t_grid,
         "phi_b": [_jsonable(profile.Kb.integral(t)) for t in t_grid],
         "phi_sigma": [_jsonable(profile.Ksigma.integral(t)) for t in t_grid],
@@ -280,10 +253,10 @@ def cmd_validate(handle: ModelHandle, cfg: dict, args) -> int:
     return EXIT_PASS
 
 
-def cmd_constants(handle: ModelHandle, cfg: dict, args) -> int:
-    profile = handle.profile()
+def cmd_constants(model: Model, cfg: dict, args) -> int:
+    profile = model.profile()
     rows = []
-    for t in _floats(cfg["t"]):
+    for t in _floats(cfg["t"], "t"):
         row = {"t": _jsonable(t),
                "gradient_constant": _jsonable(kernels.gradient_constant(t, profile.t0))}
         if t > 0 and profile.lambda_sigma > 0:
@@ -297,22 +270,24 @@ def cmd_constants(handle: ModelHandle, cfg: dict, args) -> int:
         else:
             row["poincare_constant"] = None
         rows.append(row)
-    out = {"model": handle.name, "t0": _jsonable(profile.t0), "rows": rows}
+    out = {"model": args.model.removeprefix("preset:"), "t0": _jsonable(profile.t0), "rows": rows}
     _write(args.out, json.dumps(out, sort_keys=True, indent=1) + "\n")
     return EXIT_PASS
 
 
-def cmd_check(handle: ModelHandle, cfg: dict, args) -> int:
-    profile = handle.profile()
-    mc = _make_mc(cfg, handle.lambdas, handle.callbacks())
-    n = handle.n
+def cmd_check(model: Model, cfg: dict, args) -> int:
+    profile = model.profile()
+    mc = _make_mc(cfg, model.lambdas, model.callbacks)
+    n = model.n
     f = functional_by_name(cfg["f"])
-    x = _vector(cfg["x"], n)
-    y = _vector(cfg["y"], n)
-    v = _vector(cfg["v"], n)
-    t = _floats(cfg["t"])[0]
+    x = _vector(cfg["x"], n, "x")
+    y = _vector(cfg["y"], n, "y")
+    v = _vector(cfg["v"], n, "v")
+    t = _floats(cfg["t"], "t")[0]
     M = int(cfg["m"])
-    k = float(cfg["k"])
+    k = _number(cfg["k"], "k")
+    if k < 0:
+        raise ConfigError("k must be >= 0")
     which = args.which
     if which in ("logharnack", "variance") and profile.lambda_sigma <= 0:
         print("assumption failed: uniform_ellipticity", file=sys.stderr)
@@ -334,29 +309,24 @@ def cmd_check(handle: ModelHandle, cfg: dict, args) -> int:
     return EXIT_PASS if rep.passed else EXIT_STAT_FAIL
 
 
-def cmd_converge(handle: ModelHandle, cfg: dict, args) -> int:
-    n_list = _ints(cfg["n_list"])
+def cmd_converge(model: Model, cfg: dict, args) -> int:
+    n_list = [int(v) for v in cfg["n_list"].replace(",", " ").split()]
     N = int(cfg["bign"])
-    if handle.kind == "ou":
-        full = handle.ou.lambdas
-        if full.size < N:
-            raise ConfigError(f"OU preset has {full.size} modes, need N = {N}")
-        cb = handle.ou.callbacks
-
+    if isinstance(model, ReactionDiffusionModel):
         def build(n):
-            return full[:n], cb
+            sub = dataclasses.replace(model, n=n, quad_points=max(model.quad_points, 2 * N))
+            return sub.lambdas, sub.callbacks
     else:
-        base = handle.reaction
+        if model.n < N:
+            raise ConfigError(f"OU preset has {model.n} modes, need N = {N}")
+        cb = model.callbacks
 
         def build(n):
-            sub = ReactionDiffusionModel(domain=base.domain, alpha=base.alpha,
-                                         psi=base.psi, phi=base.phi, n=n,
-                                         quad_points=max(base.quad_points, 2 * N))
-            return sub.spectrum.lambdas, build_callbacks(sub)
+            return model.lambdas[:n], cb
 
     mc = _make_mc(cfg, *build(N))
-    x0 = _vector(cfg["x"], N)
-    t = _floats(cfg["t"])[0]
+    x0 = _vector(cfg["x"], N, "x")
+    t = _floats(cfg["t"], "t")[0]
     rows = mc.convergence_study(build, n_list, N, x0, t, int(cfg["m"]))
     buf = io.StringIO()
     buf.write("n,error,stderr\n")
@@ -366,20 +336,20 @@ def cmd_converge(handle: ModelHandle, cfg: dict, args) -> int:
     return EXIT_PASS
 
 
-def cmd_invariant(handle: ModelHandle, cfg: dict, args) -> int:
-    t_end = float(cfg["t_end"])
+def cmd_invariant(model: Model, cfg: dict, args) -> int:
+    t_end = _number(cfg["t_end"], "t_end")
     n_checks = int(cfg["checkpoints"])
     checkpoints = [t_end * (i + 1) / n_checks for i in range(n_checks)] if t_end > 0 else [0.0]
     M = int(cfg["m"])
-    out: dict = {"model": handle.name, "M": M, "dt": _jsonable(float(cfg["dt"])),
-                 "seed": int(cfg["seed"])}
-    if handle.kind == "reaction":
-        eps0, C0 = float(cfg["eps0"]), float(cfg["c0"])
-        growth_ok = check_growth_condition(handle.reaction, eps0, C0)
+    out: dict = {"model": args.model.removeprefix("preset:"), "M": M,
+                 "dt": _jsonable(_number(cfg["dt"], "dt")), "seed": int(cfg["seed"])}
+    if isinstance(model, ReactionDiffusionModel):
+        eps0, C0 = _number(cfg["eps0"], "eps0"), _number(cfg["c0"], "c0")
+        growth_ok = check_growth_condition(model, eps0, C0)
         out["growth_condition"] = {"eps0": _jsonable(eps0), "C0": _jsonable(C0),
                                    "holds": growth_ok}
-        eps = float(cfg["eps"])
-        finite, value = handle.profile().Ksigma.epsilon_integral(eps)
+        eps = _number(cfg["eps"], "eps")
+        finite, value = model.profile().Ksigma.epsilon_integral(eps)
         out["epsilon_integrability"] = {"eps": _jsonable(eps), "finite": finite,
                                         "value": _jsonable(value) if finite else "inf"}
         if not growth_ok:
@@ -387,9 +357,9 @@ def cmd_invariant(handle: ModelHandle, cfg: dict, args) -> int:
             _write(args.out, json.dumps(out, sort_keys=True, indent=1) + "\n")
             return EXIT_CONFIG
     else:
-        out["stationary_tail_sum"] = _jsonable(handle.ou.stationary_moment())
-    mc = _make_mc(cfg, handle.lambdas, handle.callbacks())
-    rows = mc.second_moment_curve(_vector(cfg["x"], handle.n), t_end, checkpoints, M)
+        out["stationary_tail_sum"] = _jsonable(model.stationary_moment())
+    mc = _make_mc(cfg, model.lambdas, model.callbacks)
+    rows = mc.second_moment_curve(_vector(cfg["x"], model.n, "x"), t_end, checkpoints, M)
     out["rows"] = [{"t": _jsonable(t), "moment": _jsonable(m), "stderr": _jsonable(s)}
                    for t, m, s in rows]
     out["verdict"] = plateau_verdict(rows)
@@ -397,19 +367,19 @@ def cmd_invariant(handle: ModelHandle, cfg: dict, args) -> int:
     return EXIT_PASS
 
 
-def cmd_dump_trajectories(handle: ModelHandle, cfg: dict, args) -> int:
-    noise = NoiseStream(seed=int(cfg["seed"]), width=handle.n)
-    scfg = SchemeConfig(dt=float(cfg["dt"]), t_end=float(cfg["t_end"]),
+def cmd_dump_trajectories(model: Model, cfg: dict, args) -> int:
+    noise = NoiseStream(seed=int(cfg["seed"]), width=model.n)
+    scfg = SchemeConfig(dt=_number(cfg["dt"], "dt"), t_end=_number(cfg["t_end"], "t_end"),
                         scheme=cfg["scheme"])
-    x0 = _vector(cfg["x"], handle.n)
+    x0 = _vector(cfg["x"], model.n, "x")
     M = int(cfg["m"])
     buf = io.StringIO()
-    header = "path_id,step,t," + ",".join(f"coeff_{i}" for i in range(handle.n))
+    header = "path_id,step,t," + ",".join(f"coeff_{i}" for i in range(model.n))
     buf.write(header + "\n")
-    cb = handle.callbacks()
+    cb = model.callbacks
     steps = range(scfg.n_steps + 1)
     for pid in range(M):
-        snaps = simulate_batch(x0, [pid], scfg, handle.lambdas, cb, noise,
+        snaps = simulate_batch(x0, [pid], scfg, model.lambdas, cb, noise,
                                checkpoint_steps=steps)["checkpoints"]
         for k in steps:
             coeffs = ",".join(repr(float(c)) for c in snaps[k][0])
@@ -418,14 +388,12 @@ def cmd_dump_trajectories(handle: ModelHandle, cfg: dict, args) -> int:
     return EXIT_PASS
 
 
-def cmd_dump_field(handle: ModelHandle, cfg: dict, args) -> int:
-    if handle.kind != "reaction":
+def cmd_dump_field(model: Model, cfg: dict, args) -> int:
+    if not isinstance(model, ReactionDiffusionModel):
         raise ConfigError("field dumps need a reaction-diffusion model")
-    coeffs = _vector(cfg["x"], handle.n)
-    cb = build_callbacks(handle.reaction)
-    grid, vals = cb.field_on_grid(coeffs)
+    grid, vals = model.callbacks.field_on_grid(_vector(cfg["x"], model.n, "x"))
     buf = io.StringIO()
-    d = handle.reaction.domain.d
+    d = model.domain.d
     buf.write(",".join(f"xi_{i}" for i in range(d)) + ",u\n" if d > 1 else "xi,u(xi)\n")
     for pt, u in zip(grid, vals):
         xi = ",".join(repr(float(c)) for c in np.atleast_1d(pt))
@@ -475,12 +443,12 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        handle = load_model(args.model)
+        model = load_model(args.model)
         cfg = load_experiment(args.config)
         for key in ("seed", "threads"):
             if getattr(args, key) is not None:
                 cfg[key] = str(getattr(args, key))
-        return _COMMANDS[args.command](handle, cfg, args)
+        return _COMMANDS[args.command](model, cfg, args)
     except ValueError as e:  # ConfigError, DomainError and KernelError included
         print(f"configuration error: {e}", file=sys.stderr)
         return EXIT_CONFIG

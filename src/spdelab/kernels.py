@@ -29,6 +29,7 @@ from .spectral import DomainError
 LOG6 = math.log(6.0)
 PHI_BUDGET = 1.0 / 6.0
 TRUNCATION_TOL = 1e-12  # largest tail bound a truncated series may leave off
+_MAX_TERMS = 5_000_000  # most terms a power-series integral sums
 
 
 class KernelError(ValueError):
@@ -136,6 +137,12 @@ class PowerSeriesKernel(Kernel):
     def __post_init__(self):
         if self.C <= 0 or self.delta <= 0 or self.p <= 0:
             raise DomainError("series kernel needs C, delta, p > 0")
+        # the integral's tail past its term cap: warn once, naming the line that built the kernel
+        q = self.p - self._k
+        tail = self.C / (self.delta * (q - 1.0)) * _MAX_TERMS ** (1.0 - q) if q > 1.0 else 0.0
+        if tail > TRUNCATION_TOL:
+            warnings.warn(f"power-series integral tail bound {tail:.2e} above tolerance at "
+                          f"the {_MAX_TERMS} term cap", stacklevel=3)
 
     @property
     def _k(self) -> int:
@@ -167,7 +174,7 @@ class PowerSeriesKernel(Kernel):
             raise KernelError("kernel time-integral series diverges (exponent p too small "
                               "for this form); kernel is not integrable")
         M = (self.C / (self.delta * (q - 1.0) * TRUNCATION_TOL)) ** (1.0 / (q - 1.0))
-        m = np.arange(1, int(min(max(M, 64), 5_000_000)) + 2, dtype=float)
+        m = np.arange(1, int(min(max(M, 64), _MAX_TERMS)) + 2, dtype=float)
         w, rates = self.C * m**self._k, self.delta * m**self.p
         return _per_time(t, lambda s: _mode_integral(w, rates, s), positive=False)
 

@@ -255,6 +255,7 @@ class MonteCarlo:
         """P_t log f(y) <= log P_t f(x) + C(t) |x - y|^2 for strictly positive f."""
         if not f.strictly_positive:
             raise ValueError("log-Harnack check needs a strictly positive functional")
+        const = kernels.logharnack_constant(t, t0, lambda_sigma)
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         st = self._sample(x, t, M, {
@@ -264,7 +265,6 @@ class MonteCarlo:
         fx = st["f_x"]
         if fx.mean - 4.0 * fx.se <= 0.0:
             raise EstimationError("P_t f estimate not positive beyond noise; log undefined")
-        const = kernels.logharnack_constant(t, t0, lambda_sigma)
         dist2 = float(np.sum((x - y) ** 2))
         lhs, lhs_se = st["logf_y"].mean, st["logf_y"].se
         rhs = math.log(fx.mean) + const * dist2
@@ -274,10 +274,10 @@ class MonteCarlo:
     def check_variance_gradient(self, f: Functional, x0, v, t: float, t0: float,
                                 lambda_sigma: float, M: int, k: float = 4.0) -> CheckReport:
         """|d_v P_t f|^2 / |v|^2 <= C(t) (P_t f^2 - (P_t f)^2), same C as log-Harnack."""
+        const = kernels.logharnack_constant(t, t0, lambda_sigma)
         st = self._sample(x0, t, M, {
             "pair": _pairing(f), "f": lambda r: f.eval(r["x"])}, v=v)
         lhs, lhs_se = _directional_sq(st["pair"], v)
-        const = kernels.logharnack_constant(t, t0, lambda_sigma)
         rhs, rhs_se = const * st["f"].var, const * st["f"].se_var
         return self._report("variance_gradient", lhs, lhs_se, rhs, rhs_se, const, k, t, M)
 

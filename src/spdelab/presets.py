@@ -3,9 +3,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from .kernels import ConstantKernel, RegularityProfile
 from .reaction import ReactionDiffusionModel, ScalarFunctionSpec
 from .simulate import CallbackBundle, diagonal_constant_diffusion
-from .spectral import unit_interval
+from .spectral import DomainError, unit_interval
 
 
 def bounded_reaction_model(n: int = 16, quad_points: int = 64) -> ReactionDiffusionModel:
@@ -31,6 +32,11 @@ class OUPreset:
     def __init__(self, lambdas, phi0: float = 1.0):
         self.lambdas = np.asarray(lambdas, dtype=float)
         self.phi0 = float(phi0)
+        if self.lambdas.ndim != 1 or not self.lambdas.size or not np.all(
+                np.isfinite(self.lambdas) & (self.lambdas > 0)):
+            raise DomainError("ou lambdas must be a non-empty list of finite positive numbers")
+        if not np.isfinite(self.phi0):
+            raise DomainError("ou phi0 must be finite")
 
     @property
     def n(self) -> int:
@@ -39,6 +45,12 @@ class OUPreset:
     @property
     def callbacks(self) -> CallbackBundle:
         return diagonal_constant_diffusion(self.phi0)
+
+    def profile(self) -> RegularityProfile:
+        """b = 0 and constant sigma: zero kernels, both ellipticity bounds phi0^2."""
+        lam = self.phi0**2
+        return RegularityProfile(Kb=ConstantKernel(0.0), Ksigma=ConstantKernel(0.0),
+                                 lambda_sigma=lam, lambda_bar_sigma=lam)
 
     def stationary_moment(self) -> float:
         """lim_t E|X_t|^2 from 0 start: sum_i phi0^2 / (2 lambda_i)."""

@@ -134,6 +134,18 @@ class ReactionDiffusionModel:
     def spectrum(self) -> EigenSpectrum:
         return EigenSpectrum.synthesize(self.domain, self.alpha, self.n)
 
+    @property
+    def lambdas(self) -> np.ndarray:
+        return self.spectrum.lambdas
+
+    @property
+    def callbacks(self) -> "ReactionCallbacks":
+        """A fresh pseudo-spectral step for this model."""
+        return build_callbacks(self)
+
+    def profile(self) -> RegularityProfile:
+        return build_profile(self)
+
 
 class _SineTransform:
     """Synthesis/projection on the interior tensor quadrature grid by one table.

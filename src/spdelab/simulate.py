@@ -46,10 +46,10 @@ class SchemeConfig:
     scheme: str = "exponential_euler"
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        if self.t_end < 0:
-            raise ValueError("t_end must be non-negative")
+        if not 0 < self.dt < np.inf:
+            raise ValueError("dt must be positive and finite")
+        if not 0 <= self.t_end < np.inf:
+            raise ValueError("t_end must be non-negative and finite")
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}; choose from {SCHEMES}")
 

@@ -243,13 +243,13 @@ class TestDumps:
         first = lines[1].split(",")
         assert first[:3] == ["0", "0", "0.0"]
         assert [float(c) for c in first[3:]] == [1.0, 0.0, 0.0, 0.0]
-        handle = load_model(ou_model_file)
+        model = load_model(ou_model_file)
         scfg = SchemeConfig(dt=5e-3, t_end=0.01)
         rows = [line.split(",") for line in lines[1:]]
         assert [r[2] for r in rows] == [repr(k * scfg.realized_dt) for k in range(3)] * 2
         for pid, last in enumerate(rows[2::3]):
-            final = simulate_batch(np.eye(4)[0], [pid], scfg, handle.lambdas,
-                                   handle.callbacks(), NoiseStream(seed=3, width=4))["x"][0]
+            final = simulate_batch(np.eye(4)[0], [pid], scfg, model.lambdas,
+                                   model.callbacks, NoiseStream(seed=3, width=4))["x"][0]
             assert last[3:] == [repr(float(c)) for c in final]
 
     def test_field_csv(self, rd_model_file, tmp_path):
@@ -288,11 +288,27 @@ def test_unknown_preset():
     (["check", "gradient", "--model", "preset:ou8"], dict(batchsize="5", m="10"),
      "'batchsize'"),
     (["constants", "--model", "preset:ou8"], dict(mm="10"), "'mm'"),
+    (["constants", "--model", "preset:ou8"], dict(t="0.1 nan"), "t = 'nan'"),
+    (["constants", "--model", "preset:ou8"], dict(t="inf"), "t = 'inf'"),
+    (["check", "gradient", "--model", "preset:ou8"], dict(t="inf", m="10"), "t = 'inf'"),
+    (["check", "gradient", "--model", "preset:ou8"], dict(k="inf", m="10"), "k = 'inf'"),
+    (["check", "gradient", "--model", "preset:ou8"], dict(k="nan", m="10"), "k = 'nan'"),
+    (["check", "gradient", "--model", "preset:ou8"], dict(k="-1", m="10"), "k must"),
+    (["check", "gradient", "--model", "preset:ou8"], dict(x="nan*ones", m="10"),
+     "x = 'nan'"),
+    (["check", "gradient", "--model", "preset:ou8"], dict(v="1 0 0 0 0 0 0 -inf", m="10"),
+     "v = '-inf'"),
+    (["dump-trajectories", "--model", "preset:ou8"], dict(dt="nan", m="1"), "dt = 'nan'"),
+    (["dump-trajectories", "--model", "preset:ou8"], dict(dt="inf", m="1"), "dt = 'inf'"),
+    (["invariant", "--model", "preset:ou8"], dict(t_end="inf", m="10"), "t_end = 'inf'"),
+    (["invariant", "--model", "preset:rd16"], dict(eps0="nan", m="10"), "eps0 = 'nan'"),
 ], ids=["constants-negative-t", "check-unknown-functional", "check-e9-on-ou8",
         "check-e0", "invariant-eps-above-1", "dump-negative-dt", "converge-unknown-scheme",
         "check-empty-t", "converge-empty-t", "check-negative-batch-size",
         "invariant-negative-batch-size", "check-zero-batch-size", "misspelled-batch-size",
-        "misspelled-m"])
+        "misspelled-m", "constants-nan-t", "constants-inf-t", "check-inf-t", "check-inf-k",
+        "check-nan-k", "check-negative-k", "check-nan-scale", "check-inf-entry",
+        "dump-nan-dt", "dump-inf-dt", "invariant-inf-t-end", "invariant-nan-eps0"])
 def test_bad_config_exits_2(argv, cfg, named, tmp_path, capsys):
     out = tmp_path / "out"
     assert main(argv + ["--config", write_experiment(tmp_path, **cfg), "--out", str(out)]) == 2
@@ -309,8 +325,19 @@ def test_bad_config_exits_2(argv, cfg, named, tmp_path, capsys):
     (OU_MODEL.replace("lambdas = 1 2 3 4", "lambdas = 0 2 3 4"), None, ""),
     ("kind = ou\n", None, ""),
     (OU_MODEL, "m = 3\n", ""),
+    (RD_MODEL.replace("value = 2.0", "value = nan"), None, "[alpha] value = 'nan'"),
+    (RD_MODEL.replace("value = 2.0", "value = inf"), None, "[alpha] value = 'inf'"),
+    (RD_MODEL.replace("amp = 0.1", "amp = nan"), None, "[phi] amp = 'nan'"),
+    (RD_MODEL.replace("a = 0.5", "a = inf"), None, "[psi] a = 'inf'"),
+    (RD_MODEL.replace("side_0 = 0 1", "side_0 = 0 inf"), None, "side_0 = 'inf'"),
+    (OU_MODEL.replace("lambdas = 1 2 3 4", "lambdas = 1 nan 3 4"), None, "lambdas = 'nan'"),
+    (OU_MODEL.replace("phi0 = 1.0", "phi0 = abc"), None, "phi0 = 'abc'"),
+    (OU_MODEL, "[experiment]\nt = nan\n", "t = 'nan'"),
+    (OU_MODEL, "[experiment]\nt = inf\n", "t = 'inf'"),
 ], ids=["side-with-one-number", "ou-without-lambdas", "ou-zero-lambda",
-        "model-without-section", "experiment-without-section"])
+        "model-without-section", "experiment-without-section", "nan-alpha", "inf-alpha",
+        "nan-phi-amp", "inf-psi-a", "inf-side", "nan-ou-lambda", "ou-phi0-not-a-number",
+        "nan-t", "inf-t"])
 def test_bad_input_file_exits_2(model, experiment, named, tmp_path, capsys):
     argv = ["constants", "--model", str(tmp_path / "m.ini")]
     (tmp_path / "m.ini").write_text(model)

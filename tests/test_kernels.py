@@ -135,6 +135,19 @@ def test_value_tail_warning_names_calling_line():
     assert {(w.filename, w.lineno) for w in rec} == {(__file__, line)}
 
 
+def test_power_series_term_cap_warns_once():
+    # at p = 2.1 the integral's tail past the 5e6 term cap is ~3.9e-8; at p = 4
+    # the tolerance is met long before the cap
+    with warnings.catch_warnings(record=True) as rec:
+        warnings.simplefilter("always")
+        line = inspect.currentframe().f_lineno + 1
+        k = PowerSeriesKernel(C=1.0, delta=1.0, p=2.1)
+        k.integral(1.0), k.integral(2.0)
+        PowerSeriesKernel(C=1.0, delta=1.0, p=4.0).integral(1.0)
+    assert [(w.filename, w.lineno) for w in rec] == [(__file__, line)]
+    assert "power-series integral tail bound 3.89e-08" in str(rec[0].message)
+
+
 class TestCriticalTime:
     def test_constant_simple(self):
         p = RegularityProfile(Kb=ConstantKernel(1.0), Ksigma=ConstantKernel(0.0),

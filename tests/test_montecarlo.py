@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from spdelab import kernels
+from spdelab import kernels, montecarlo
 from spdelab.functionals import (REGISTRY, Functional, by_name, constant, coordinate,
                                  sin_coordinate)
 from spdelab.montecarlo import (EstimationError, MonteCarlo, _merged_stats, _moments,
                                 plateau_verdict)
 from spdelab.noise import NoiseStream
 from spdelab.simulate import diagonal_constant_diffusion
+from spdelab.spectral import DomainError
 
 
 def ou_mc(lambdas, phi0=1.0, seed=100, threads=1, dt=1e-3):
@@ -131,6 +132,19 @@ class TestChecksDegenerate:
         with pytest.raises((ValueError, EstimationError)):
             mc.check_log_harnack(sin_coordinate(0), np.zeros(16), np.zeros(16),
                                  0.05, rd16_profile.t0, rd16_profile.lambda_sigma, 100)
+
+    def test_constant_checked_before_sampling(self, monkeypatch):
+        # lambda_sigma = 0 has no log-Harnack constant: fail before simulating
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulated before the constant was checked")
+
+        monkeypatch.setattr(montecarlo, "simulate_batch", no_simulation)
+        mc = ou_mc(np.arange(1, 9) / 2.0)
+        x, v = np.zeros(8), np.eye(8)[0]
+        with pytest.raises(DomainError):
+            mc.check_log_harnack(constant(2.0), x, x, 0.2, math.inf, 0.0, 200)
+        with pytest.raises(DomainError):
+            mc.check_variance_gradient(constant(2.0), x, v, 0.2, math.inf, 0.0, 200)
 
     def test_variance_constant_functional(self, rd16_profile, rd16, rd16_callbacks):
         mc = rd_mc(rd16, rd16_callbacks)

@@ -30,6 +30,12 @@ class TestSchemeConfig:
         with pytest.raises((ValueError, SimulationError)):
             SchemeConfig(dt=1e-3, t_end=1.0, scheme="milstein")
 
+    @pytest.mark.parametrize("dt, t_end", [(math.nan, 1.0), (math.inf, 1.0),
+                                           (1e-3, math.nan), (1e-3, math.inf)])
+    def test_nonfinite_step_or_horizon(self, dt, t_end):
+        with pytest.raises(ValueError, match="finite"):
+            SchemeConfig(dt=dt, t_end=t_end)
+
 
 class TestStep:
     def test_pure_decay(self):

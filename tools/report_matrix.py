@@ -11,7 +11,9 @@ and 2, once with a small experiment and once started at ``x = 1e160*ones``
 ``invariant`` also run on their OU presets, and ``validate`` on a
 reaction-diffusion model whose kernel integral tail is above tolerance
 (alpha = 0.6).  One more ``invariant`` case runs a single batch long enough to
-be drawn in two noise chunks.  Each case gets a directory holding ``stdout``,
+be drawn in two noise chunks.  Every command also runs at ``--threads 1`` on
+two model files: an OU reference and a 2-d reaction-diffusion model (whose
+kernel integral tail is above tolerance too).  Each case gets a directory holding ``stdout``,
 ``stderr`` and ``exit_code``.
 
 Each case runs in a fresh interpreter with ``PYTHONPATH=SRC`` and, as working
@@ -58,6 +60,37 @@ n = 8
 quad_points = 32
 """
 
+OU_MODEL = """[model]
+kind = ou
+[ou]
+lambdas = 0.5 1 1.5 2 2.5 3 3.5 4
+phi0 = 0.7
+"""
+
+RD2D_MODEL = """[model]
+kind = reaction_diffusion
+[domain]
+d = 2
+side_0 = 0 1
+side_1 = 0 2
+[alpha]
+value = 1.5
+[psi]
+form = affine
+a = -0.5
+b = 0.1
+[phi]
+form = sin_perturbed
+c0 = 1.0
+amp = 0.1
+freq = 1.0
+[galerkin]
+n = 8
+quad_points = 16
+"""
+
+MODEL_FILES = {"alpha06.ini": SLOW_TAIL_MODEL, "ou.ini": OU_MODEL, "rd2d.ini": RD2D_MODEL}
+
 COMMANDS = (["validate"], ["constants"], ["check", "gradient"], ["check", "logharnack"],
             ["check", "variance"], ["check", "poincare"], ["check", "flowbound"],
             ["converge"], ["invariant"], ["dump-trajectories"], ["dump-field"])
@@ -78,13 +111,18 @@ def cases():
     yield "validate_alpha06", ["validate", "--model", "alpha06.ini"], "small"
     yield ("invariant_ou-invariant_chunks",
            ["invariant", "--model", "preset:ou-invariant"], "chunks")
+    for model in ("ou", "rd2d"):
+        for cmd in COMMANDS:
+            yield (f"{'-'.join(cmd)}_{model}-file_small_t1",
+                   cmd + ["--model", f"{model}.ini", "--threads", "1"], "small")
 
 
 def write_inputs(work: Path):
     for name, cfg in (("small", SMALL), ("huge", HUGE), ("chunks", CHUNKS)):
         body = "[experiment]\n" + "".join(f"{k} = {v}\n" for k, v in cfg.items())
         (work / f"{name}.ini").write_text(body)
-    (work / "alpha06.ini").write_text(SLOW_TAIL_MODEL)
+    for name, body in MODEL_FILES.items():
+        (work / name).write_text(body)
 
 
 def main(argv=None) -> int:
