@@ -35,8 +35,8 @@ class OUPreset:
         if self.lambdas.ndim != 1 or not self.lambdas.size or not np.all(
                 np.isfinite(self.lambdas) & (self.lambdas > 0)):
             raise DomainError("ou lambdas must be a non-empty list of finite positive numbers")
-        if not np.isfinite(self.phi0):
-            raise DomainError("ou phi0 must be finite")
+        if not np.isfinite(self.phi0 * self.phi0):
+            raise DomainError("ou phi0 must be finite, with a finite square")
 
     @property
     def n(self) -> int:

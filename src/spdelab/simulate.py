@@ -25,8 +25,11 @@ from .spectral import DomainError
 
 SCHEMES = ("exponential_euler", "euler_maruyama")
 
-# cap on floats per noise chunk, to bound memory for long runs
-_CHUNK_FLOAT_BUDGET = 24_000_000
+# floats per noise chunk (32 MB), so that each step's gather over the batch
+# stays within a small buffer; at least _MIN_CHUNK_STEPS steps per chunk keep
+# each path's draw call amortised over many normals when the batch is large
+_CHUNK_FLOAT_BUDGET = 4_000_000
+_MIN_CHUNK_STEPS = 32
 
 
 class SimulationError(RuntimeError):
@@ -155,14 +158,17 @@ def simulate_batch(x0: np.ndarray, path_ids, cfg: SchemeConfig, lambdas: np.ndar
     if 0 in checkpoint_steps:
         snaps[0] = x.copy()
 
-    # steps k0+1..k1 draw one noise chunk, freed before the next; sizes differ by <= 1
-    n_chunks = -(-K // max(1, _CHUNK_FLOAT_BUDGET // max(1, B * noise.width)))
+    # steps k0+1..k1 read one noise chunk, scaled to dW in place; sizes differ
+    # by <= 1.  The chunk and its last step view are dropped before the next
+    # draw, so only one chunk is alive at a time.
+    n_chunks = -(-K // max(_MIN_CHUNK_STEPS, _CHUNK_FLOAT_BUDGET // max(1, B * noise.width)))
     reader = noise.open(path_ids)
     for c in range(n_chunks):
         k0, k1 = c * K // n_chunks, (c + 1) * K // n_chunks
         z = reader.draw(k1 - k0, n)
+        z *= sqdt
         for k in range(k0 + 1, k1 + 1):
-            dw = sqdt * z[:, k - k0 - 1, :]
+            dw = z[:, k - k0 - 1]
             dx, dflow = cb.increment(x, dw, dt, flow)
             if flow is not None:
                 flow = update(flow, dflow)
@@ -171,7 +177,7 @@ def simulate_batch(x0: np.ndarray, path_ids, cfg: SchemeConfig, lambdas: np.ndar
             x = update(x, dx)
             if k in checkpoint_steps:
                 snaps[k] = x.copy()
-        del z
+        del z, dw
         for what, arr in (("state", x), ("coupled state", y), ("derivative flow", flow)):
             if arr is not None:
                 _check_finite(what, arr, path_ids, k0, k1)

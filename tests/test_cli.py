@@ -334,10 +334,11 @@ def test_bad_config_exits_2(argv, cfg, named, tmp_path, capsys):
     (OU_MODEL.replace("phi0 = 1.0", "phi0 = abc"), None, "phi0 = 'abc'"),
     (OU_MODEL, "[experiment]\nt = nan\n", "t = 'nan'"),
     (OU_MODEL, "[experiment]\nt = inf\n", "t = 'inf'"),
+    ("[model]\nkind = ou\n[ou]\nlambdas = 1 2 3\nphi0 = 1e200\n", None, "phi0"),
 ], ids=["side-with-one-number", "ou-without-lambdas", "ou-zero-lambda",
         "model-without-section", "experiment-without-section", "nan-alpha", "inf-alpha",
         "nan-phi-amp", "inf-psi-a", "inf-side", "nan-ou-lambda", "ou-phi0-not-a-number",
-        "nan-t", "inf-t"])
+        "nan-t", "inf-t", "ou-phi0-square-overflows"])
 def test_bad_input_file_exits_2(model, experiment, named, tmp_path, capsys):
     argv = ["constants", "--model", str(tmp_path / "m.ini")]
     (tmp_path / "m.ini").write_text(model)

@@ -29,13 +29,23 @@ class TestDeterminism:
 
     def test_batch_reader_chunks_match_flat_reads(self):
         s = NoiseStream(seed=9, width=6)
-        reader = s.open([2, 5, 11])
-        first = reader.draw(30, 6)
-        second = reader.draw(20, 6)
-        for row, pid in enumerate([2, 5, 11]):
-            flat = NoiseStream(seed=9, width=6).normals(pid, 50, 6)
-            np.testing.assert_array_equal(first[row], flat[:30])
-            np.testing.assert_array_equal(second[row], flat[30:])
+        for n_modes in (6, 4):
+            reader = s.open([2, 5, 11])
+            first = reader.draw(30, n_modes)
+            second = reader.draw(20, n_modes)
+            for row, pid in enumerate([2, 5, 11]):
+                flat = NoiseStream(seed=9, width=6).normals(pid, 50, 6)
+                np.testing.assert_array_equal(first[row], flat[:30, :n_modes])
+                np.testing.assert_array_equal(second[row], flat[30:, :n_modes])
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**63, 2**63 + 1, 2**64 - 1, -1])
+    def test_stream_is_philox_keyed_by_seed_and_path(self, seed):
+        # key words (seed mod 2^64, path id), given as an exact uint64 array
+        for pid in (0, 3, 2**40):
+            key = np.array([seed & (2**64 - 1), pid], dtype=np.uint64)
+            ref = np.random.Generator(np.random.Philox(key=key)).standard_normal(64)
+            np.testing.assert_array_equal(
+                NoiseStream(seed, width=4).generator(pid).standard_normal(64), ref)
 
 
 class TestDistribution:

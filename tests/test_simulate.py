@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -119,6 +120,7 @@ class TestSimulatePath:
         assert sizes == [7]
         # 4 paths x 16 modes x 3 steps: the 7 steps need 3 chunks
         monkeypatch.setattr(simulate, "_CHUNK_FLOAT_BUDGET", 3 * 4 * 16)
+        monkeypatch.setattr(simulate, "_MIN_CHUNK_STEPS", 1)
         sizes.clear()
         chunked = run()
         assert len(sizes) == 3 and sum(sizes) == 7 and max(sizes) - min(sizes) <= 1
@@ -127,6 +129,26 @@ class TestSimulatePath:
         assert chunked["checkpoints"].keys() == one["checkpoints"].keys() == set(range(8))
         for k, snap in one["checkpoints"].items():
             np.testing.assert_array_equal(chunked["checkpoints"][k], snap)
+
+    def test_one_noise_chunk_alive_at_a_time(self, rd16, rd16_callbacks, monkeypatch):
+        # a chunk still referenced (say, by a step's dW view) when the next one
+        # is drawn doubles the noise layer's peak memory
+        chunks = []
+        draw = BatchReader.draw
+
+        def tracking_draw(self, n_steps, n_modes):
+            assert all(ref() is None for ref in chunks)
+            z = draw(self, n_steps, n_modes)
+            chunks.append(weakref.ref(z.base))
+            return z
+        monkeypatch.setattr(BatchReader, "draw", tracking_draw)
+        monkeypatch.setattr(simulate, "_CHUNK_FLOAT_BUDGET", 2 * 4 * 16)
+        monkeypatch.setattr(simulate, "_MIN_CHUNK_STEPS", 1)
+        simulate_batch(np.full(16, 0.1), [0, 1, 2, 3], SchemeConfig(dt=1e-3, t_end=0.007),
+                       rd16.spectrum.lambdas, rd16_callbacks, NoiseStream(seed=7, width=16),
+                       y0=np.zeros(16), v=np.eye(16)[2], checkpoint_steps=range(8))
+        assert len(chunks) == 4
+        assert all(ref() is None for ref in chunks)
 
     def test_ou_moments(self):
         # one slow mode: mean e^{-t} x0, variance (1 - e^{-2})/2

@@ -11,7 +11,7 @@ and 2, once with a small experiment and once started at ``x = 1e160*ones``
 ``invariant`` also run on their OU presets, and ``validate`` on a
 reaction-diffusion model whose kernel integral tail is above tolerance
 (alpha = 0.6).  One more ``invariant`` case runs a single batch long enough to
-be drawn in two noise chunks.  Every command also runs at ``--threads 1`` on
+be drawn in several noise chunks.  Every command also runs at ``--threads 1`` on
 two model files: an OU reference and a 2-d reaction-diffusion model (whose
 kernel integral tail is above tolerance too).  Each case gets a directory holding ``stdout``,
 ``stderr`` and ``exit_code``.
@@ -35,8 +35,8 @@ SMALL = {"t": "0.02", "m": "48", "dt": "2e-3", "t_end": "0.02", "checkpoints": "
          "n_list": "2 4", "bign": "8", "batch_size": "16", "f": "two_plus_sin1",
          "y": "0.1*ones"}
 HUGE = dict(SMALL, x="1e160*ones", f="coord1")
-# 200 steps of 20000 paths take two noise chunks; the checkpoints fall on both
-# sides of the chunk edge
+# 200 steps of 20000 paths take seven noise chunks (of 28 or 29 steps); the
+# checkpoints fall in six of them
 CHUNKS = {"m": "20000", "batch_size": "20000", "t_end": "0.2", "dt": "1e-3",
           "checkpoints": "6"}
 
