@@ -1,15 +1,14 @@
-"""Reproducible per-path Gaussian streams backed by counter-based Philox.
+"""Reproducible per-path Gaussian streams backed by SplitMix-keyed SFC64.
 
 Each path owns an independent stream keyed by (seed, path_id), so any subset
 of paths can be integrated on any worker in any order and still consume
-exactly the same draws.  The two 64-bit words (seed mod 2^64, path_id) go
-straight to Philox as its key: no entropy pool is read and nothing is hashed.
-Within a stream, draws are laid out step-major with a fixed row width, so the
-draw at (step, mode) is a deterministic function of (seed, path_id, step,
-mode) for a given stream width.  Runs at different Galerkin truncations share
-draws mode-for-mode by using one stream whose width covers the largest
-truncation.  A batch reader fills each chunk in place, one path's rows at a
-time, and hands out a view of its first ``n_modes`` columns.
+exactly the same draws.  SFC64's state words are a = mix(seed + g),
+b = mix(path_id + 2g) and c = mix(a ^ b), with mix the SplitMix64 finalizer
+(a bijection) and g its increment, so no entropy pool is read and distinct
+(seed mod 2^64, path_id) give distinct states.  Draws are laid out step-major
+with a fixed row width, so the draw at (step, mode) depends on (seed, path_id,
+step, mode) and the width alone; runs at different Galerkin truncations share
+draws mode-for-mode through one stream as wide as the largest truncation.
 """
 from __future__ import annotations
 
@@ -17,20 +16,26 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 _MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
 
 
-class _PhiloxKey(ISeedSequence):
-    """Seed source whose state is the Philox key (seed, path_id) itself.
+def _mix(z: int) -> int:
+    """SplitMix64 finalizer (Steele, Lea & Flood, OOPSLA 2014) on a 64-bit word."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
 
-    Philox reads its two key words from ``generate_state``; ``Philox(key=...)``
-    would also build an unused OS-entropy ``SeedSequence`` per path.
-    """
 
-    def __init__(self, seed: int, path_id: int):
-        self._key = np.array([seed, path_id], dtype=np.uint64)
+class _SFC64Words(ISeedSequence):
+    """Seed source handing SFC64 its three state words, where a ``SeedSequence``
+    would hash an entropy pool per path."""
+
+    def __init__(self, a: int, path_id: int):
+        b = _mix((path_id + 2 * _GAMMA) & _MASK64)
+        self._words = np.array([a, b, _mix(a ^ b)], dtype=np.uint64)
 
     def generate_state(self, n_words, dtype=np.uint32):
-        return self._key
+        return self._words
 
 
 class NoiseStream:
@@ -41,18 +46,11 @@ class NoiseStream:
             raise ValueError("stream width must be at least 1")
         self.seed = int(seed) & _MASK64
         self.width = int(width)
+        self._a = _mix((self.seed + _GAMMA) & _MASK64)
 
     def generator(self, path_id: int) -> np.random.Generator:
-        key = _PhiloxKey(self.seed, int(path_id) & _MASK64)
-        return np.random.Generator(np.random.Philox(key))
-
-    def normals(self, path_id: int, n_steps: int, n_modes: int | None = None) -> np.ndarray:
-        """Draw table of shape (n_steps, n_modes): entry (k, i) is step k, mode i."""
-        n_modes = self.width if n_modes is None else n_modes
-        if n_modes > self.width:
-            raise ValueError(f"requested {n_modes} modes from width-{self.width} stream")
-        z = self.generator(path_id).standard_normal((n_steps, self.width))
-        return z[:, :n_modes]
+        words = _SFC64Words(self._a, int(path_id) & _MASK64)
+        return np.random.Generator(np.random.SFC64(words))
 
     def open(self, path_ids) -> "BatchReader":
         return BatchReader(self, np.asarray(path_ids, dtype=np.int64))

@@ -25,11 +25,11 @@ from .spectral import DomainError
 
 SCHEMES = ("exponential_euler", "euler_maruyama")
 
-# floats per noise chunk (32 MB), so that each step's gather over the batch
-# stays within a small buffer; at least _MIN_CHUNK_STEPS steps per chunk keep
-# each path's draw call amortised over many normals when the batch is large
-_CHUNK_FLOAT_BUDGET = 4_000_000
-_MIN_CHUNK_STEPS = 32
+# floats per noise chunk (8 MB): most tiles draw each path's horizon in one call,
+# and larger chunks fragmented the heap; _MIN_TILE_ROWS paths per tile keep long
+# horizons from stepping a few rows per Python step
+_CHUNK_FLOAT_BUDGET = 1_000_000
+_MIN_TILE_ROWS = 1024
 
 
 class SimulationError(RuntimeError):
@@ -110,11 +110,10 @@ def diagonal_constant_diffusion(phi0: float) -> CallbackBundle:
     )
 
 
-def _check_finite(what: str, arr: np.ndarray, path_ids: np.ndarray, k0: int, k1: int):
-    bad = ~np.isfinite(arr).all(axis=-1)
-    if bad.any():
-        raise SimulationError(f"non-finite {what} within steps {k0 + 1}..{k1} "
-                              f"on paths {path_ids[bad][:5].tolist()}")
+def _parts(total: int, most: int) -> list[tuple[int, int]]:
+    """[start, stop) of the fewest parts of range(total), <= max(1, most) long, sizes within 1."""
+    count = -(-total // max(1, most))
+    return [(i * total // count, (i + 1) * total // count) for i in range(count)]
 
 
 def _linear_update(lambdas: np.ndarray, dt: float, scheme: str) -> Callable:
@@ -154,39 +153,42 @@ def simulate_batch(x0: np.ndarray, path_ids, cfg: SchemeConfig, lambdas: np.ndar
     sqdt = np.sqrt(dt)
     update = _linear_update(lambdas, dt, cfg.scheme)
     checkpoint_steps = set(int(s) for s in checkpoint_steps)
-    snaps = {}
-    if 0 in checkpoint_steps:
-        snaps[0] = x.copy()
+    snaps = {k: x.copy() if k == 0 else np.empty((B, n))
+             for k in sorted(checkpoint_steps) if 0 <= k <= K}
 
-    # steps k0+1..k1 read one noise chunk, scaled to dW in place; sizes differ
-    # by <= 1.  The chunk and its last step view are dropped before the next
-    # draw, so only one chunk is alive at a time.
-    n_chunks = -(-K // max(_MIN_CHUNK_STEPS, _CHUNK_FLOAT_BUDGET // max(1, B * noise.width)))
-    reader = noise.open(path_ids)
-    for c in range(n_chunks):
-        k0, k1 = c * K // n_chunks, (c + 1) * K // n_chunks
-        z = reader.draw(k1 - k0, n)
-        z *= sqdt
-        for k in range(k0 + 1, k1 + 1):
-            dw = z[:, k - k0 - 1]
-            dx, dflow = cb.increment(x, dw, dt, flow)
-            if flow is not None:
-                flow = update(flow, dflow)
-            if y is not None:
-                y = update(y, cb.increment(y, dw, dt)[0])
-            x = update(x, dx)
-            if k in checkpoint_steps:
-                snaps[k] = x.copy()
-        del z, dw
-        for what, arr in (("state", x), ("coupled state", y), ("derivative flow", flow)):
-            if arr is not None:
-                _check_finite(what, arr, path_ids, k0, k1)
+    # Each tile of rows runs all K steps from its own reader; its steps k0+1..k1
+    # read one noise chunk, scaled to dW in place.  The chunk and its last step
+    # view are dropped before the next draw: one chunk is alive at a time.
+    rows = max(_MIN_TILE_ROWS, _CHUNK_FLOAT_BUDGET // max(1, K * noise.width))
+    for r0, r1 in _parts(B, rows):
+        ids = path_ids[r0:r1]
+        xt, yt, ft = (None if a is None else a[r0:r1] for a in (x, y, flow))
+        reader = noise.open(ids)
+        for k0, k1 in _parts(K, _CHUNK_FLOAT_BUDGET // (ids.size * noise.width)):
+            z = reader.draw(k1 - k0, n)
+            z *= sqdt
+            for k in range(k0 + 1, k1 + 1):
+                dw = z[:, k - k0 - 1]
+                dx, dft = cb.increment(xt, dw, dt, ft)
+                if ft is not None:
+                    ft = update(ft, dft)
+                if yt is not None:
+                    yt = update(yt, cb.increment(yt, dw, dt)[0])
+                xt = update(xt, dx)
+                if k in snaps:
+                    snaps[k][r0:r1] = xt
+            del z, dw
+            for what, full, part in (("state", x, xt), ("coupled state", y, yt),
+                                     ("derivative flow", flow, ft)):
+                if full is None:
+                    continue
+                full[r0:r1] = part
+                bad = ~np.isfinite(part).all(axis=-1)
+                if bad.any():
+                    raise SimulationError(f"non-finite {what} within steps {k0 + 1}..{k1} "
+                                          f"on paths {ids[bad][:5].tolist()}")
 
-    out = {"x": x}
-    if y is not None:
-        out["y"] = y
-    if flow is not None:
-        out["flow"] = flow
+    out = {key: a for key, a in (("x", x), ("y", y), ("flow", flow)) if a is not None}
     if checkpoint_steps:
         out["checkpoints"] = snaps
     return out

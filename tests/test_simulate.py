@@ -86,6 +86,22 @@ class TestStep:
                 simulate_batch(np.zeros(1), [10, 11, 12], cfg, np.ones(1), cb, noise,
                                y0=np.ones(1))
 
+    def test_nonfinite_path_in_later_tile_names_its_steps(self, monkeypatch):
+        # only the last row starts off the fixed point x = 0; with tiles of at
+        # most 2 rows it sits in the third tile, drawn 10 steps per chunk
+        monkeypatch.setattr(simulate, "_CHUNK_FLOAT_BUDGET", 2 * 10)
+        monkeypatch.setattr(simulate, "_MIN_TILE_ROWS", 2)
+        cb = CallbackBundle(drift=lambda x: 1e3 * x * x,
+                            diffusion_apply=lambda x, w: x * w)
+        x0 = np.zeros((5, 1))
+        x0[4] = 0.01
+        cfg = SchemeConfig(dt=1e-2, t_end=0.5)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(SimulationError,
+                               match=r"^non-finite state within steps 21\.\.30 on paths \[14\]$"):
+                simulate_batch(x0, [10, 11, 12, 13, 14], cfg, np.ones(1), cb,
+                               NoiseStream(seed=0, width=1))
+
 
 class TestSimulatePath:
     def test_zero_horizon_returns_x0(self):
@@ -94,6 +110,14 @@ class TestSimulatePath:
         out = simulate_batch(x0, [0], cfg, np.ones(2), diagonal_constant_diffusion(1.0),
                              NoiseStream(seed=0, width=2))["x"][0]
         np.testing.assert_array_equal(out, x0)
+
+    def test_empty_batch_returns_empty_rows(self):
+        out = simulate_batch(np.zeros(3), [], SchemeConfig(dt=1e-2, t_end=0.1), np.ones(3),
+                             diagonal_constant_diffusion(1.0), NoiseStream(seed=0, width=3),
+                             y0=np.ones(3), v=np.ones(3), checkpoint_steps=[0, 5])
+        for key in ("x", "y", "flow"):
+            assert out[key].shape == (0, 3)
+        assert {k: a.shape for k, a in out["checkpoints"].items()} == {0: (0, 3), 5: (0, 3)}
 
     def test_bit_identical_reruns(self, rd16, rd16_callbacks):
         cfg = SchemeConfig(dt=2e-3, t_end=0.05)
@@ -104,31 +128,39 @@ class TestSimulatePath:
 
     def test_equal_chunks_match_one_chunk(self, rd16, rd16_callbacks, monkeypatch):
         cfg = SchemeConfig(dt=1e-3, t_end=0.007)
-        sizes = []
+        draws = []
         draw = BatchReader.draw
 
         def recording_draw(self, n_steps, n_modes):
-            sizes.append(n_steps)
-            return draw(self, n_steps, n_modes)
+            z = draw(self, n_steps, n_modes)
+            draws.append((self, z.shape[0], n_steps))
+            return z
 
         def run():
-            return simulate_batch(np.full(16, 0.1), [0, 1, 2, 3], cfg, rd16.spectrum.lambdas,
+            return simulate_batch(np.full(16, 0.1), np.arange(7), cfg, rd16.spectrum.lambdas,
                                   rd16_callbacks, NoiseStream(seed=7, width=16),
                                   y0=np.zeros(16), v=np.eye(16)[2], checkpoint_steps=range(8))
         monkeypatch.setattr(BatchReader, "draw", recording_draw)
         one = run()
-        assert sizes == [7]
-        # 4 paths x 16 modes x 3 steps: the 7 steps need 3 chunks
-        monkeypatch.setattr(simulate, "_CHUNK_FLOAT_BUDGET", 3 * 4 * 16)
-        monkeypatch.setattr(simulate, "_MIN_CHUNK_STEPS", 1)
-        sizes.clear()
-        chunked = run()
-        assert len(sizes) == 3 and sum(sizes) == 7 and max(sizes) - min(sizes) <= 1
+        assert [d[1:] for d in draws] == [(7, 7)]
+        # tiles of at most 3 of the 7 paths; a 3-row tile takes 3 steps of 16
+        # modes per chunk, a 2-row tile 4.  No tile has one row: a one-row
+        # batch goes through matrix-vector products, which round differently.
+        monkeypatch.setattr(simulate, "_CHUNK_FLOAT_BUDGET", 3 * 16 * 3)
+        monkeypatch.setattr(simulate, "_MIN_TILE_ROWS", 3)
+        draws.clear()
+        tiled = run()
+        tiles = {}
+        for reader, rows, steps in draws:
+            tiles.setdefault((reader, rows), []).append(steps)
+        assert sorted(rows for _, rows in tiles) == [2, 2, 3]
+        for sizes in tiles.values():
+            assert len(sizes) >= 2 and sum(sizes) == 7 and max(sizes) - min(sizes) <= 1
         for key in ("x", "y", "flow"):
-            np.testing.assert_array_equal(chunked[key], one[key])
-        assert chunked["checkpoints"].keys() == one["checkpoints"].keys() == set(range(8))
+            np.testing.assert_array_equal(tiled[key], one[key])
+        assert tiled["checkpoints"].keys() == one["checkpoints"].keys() == set(range(8))
         for k, snap in one["checkpoints"].items():
-            np.testing.assert_array_equal(chunked["checkpoints"][k], snap)
+            np.testing.assert_array_equal(tiled["checkpoints"][k], snap)
 
     def test_one_noise_chunk_alive_at_a_time(self, rd16, rd16_callbacks, monkeypatch):
         # a chunk still referenced (say, by a step's dW view) when the next one
@@ -143,7 +175,7 @@ class TestSimulatePath:
             return z
         monkeypatch.setattr(BatchReader, "draw", tracking_draw)
         monkeypatch.setattr(simulate, "_CHUNK_FLOAT_BUDGET", 2 * 4 * 16)
-        monkeypatch.setattr(simulate, "_MIN_CHUNK_STEPS", 1)
+        monkeypatch.setattr(simulate, "_MIN_TILE_ROWS", 1)
         simulate_batch(np.full(16, 0.1), [0, 1, 2, 3], SchemeConfig(dt=1e-3, t_end=0.007),
                        rd16.spectrum.lambdas, rd16_callbacks, NoiseStream(seed=7, width=16),
                        y0=np.zeros(16), v=np.eye(16)[2], checkpoint_steps=range(8))
