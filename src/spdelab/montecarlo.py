@@ -105,11 +105,8 @@ class CheckReport:
     seed: int
     t: float
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     def to_json(self) -> str:
-        d = self.to_dict()
+        d = asdict(self)
         for key in ("lhs_hat", "lhs_se", "rhs_hat", "rhs_se", "constant_used", "slack", "dt", "t"):
             d[key] = float(d[key])
         d["passed"] = bool(d["passed"])
@@ -131,10 +128,14 @@ def _pairing(f: Functional):
 
 
 def _directional_sq(pair: Stats, v) -> tuple[float, float]:
-    """|d_v P_t f|^2 / |v|^2 from the pairing's stats, with its delta-method stderr."""
-    v2 = float(np.sum(np.asarray(v, float) ** 2))
-    g = pair.mean
-    return g**2 / v2, 2.0 * abs(g) * pair.se / v2
+    """|d_v P_t f|^2 / |v|^2 from the pairing's stats, with its delta-method stderr
+    (inf or nan where they overflow, which ``MonteCarlo._report`` names)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        v2 = np.sum(np.asarray(v, float) ** 2)
+        if v2 == 0:
+            raise ValueError("direction v has |v|^2 = 0")
+        g = np.float64(pair.mean)
+        return float(g**2 / v2), float(2.0 * abs(g) * pair.se / v2)
 
 
 class MonteCarlo:
@@ -154,10 +155,6 @@ class MonteCarlo:
             raise ValueError("noise stream width is smaller than the mode count")
         if batch_size < 1:
             raise ValueError(f"batch_size must be at least 1, got {batch_size}")
-
-    @property
-    def n(self) -> int:
-        return self.lambdas.size
 
     def _cfg(self, t: float) -> SchemeConfig:
         return SchemeConfig(dt=self.dt, t_end=t, scheme=self.scheme)
@@ -237,7 +234,7 @@ class MonteCarlo:
         return CheckReport(
             inequality=name, lhs_hat=lhs, lhs_se=lhs_se, rhs_hat=rhs, rhs_se=rhs_se,
             constant_used=const, slack=k, passed=_passes(lhs, lhs_se, rhs, rhs_se, k),
-            M=M, dt=self._cfg(t).realized_dt if t > 0 else 0.0, n=self.n,
+            M=M, dt=self._cfg(t).realized_dt if t > 0 else 0.0, n=self.lambdas.size,
             seed=self.noise.seed, t=t)
 
     def check_gradient_bound(self, f: Functional, x0, v, t: float, t0: float,

@@ -194,8 +194,8 @@ class ReactionCallbacks:
     """Pseudo-spectral model step; duck-typed like a CallbackBundle.
 
     ``increment`` is what the stepper calls.  The per-part maps (``drift``,
-    ``diffusion_apply`` and the two jacobians) are the same projections taken
-    one at a time, for inspection and tests.
+    ``diffusion_apply`` and the two jacobians) are ``increment`` with dW or dt
+    set to zero, for inspection and tests.
     """
 
     def __init__(self, model: ReactionDiffusionModel):
@@ -227,20 +227,16 @@ class ReactionCallbacks:
         return dx, tf.project(rate * tf.synthesize(h))
 
     def drift(self, x):
-        return self._tf.project(self._psi.fn(self._tf.synthesize(x)))
+        return self.increment(x, np.zeros_like(x), 1.0)[0]
 
     def diffusion_apply(self, x, dw):
-        tf = self._tf
-        return tf.project(self._phi.fn(tf.synthesize(x)) * tf.synthesize(dw))
+        return self.increment(x, dw, 0.0)[0]
 
     def _drift_jac(self, x, h):
-        tf = self._tf
-        return tf.project(self._psi.deriv(tf.synthesize(x)) * tf.synthesize(h))
+        return self.increment(x, np.zeros_like(x), 1.0, h)[1]
 
     def _diffusion_jac(self, x, h, dw):
-        tf = self._tf
-        return tf.project(self._phi.deriv(tf.synthesize(x)) * tf.synthesize(h)
-                          * tf.synthesize(dw))
+        return self.increment(x, dw, 0.0, h)[1]
 
     def field_on_grid(self, coeffs: np.ndarray):
         """(grid points (q^d, d), field values) for dumping u(xi)."""

@@ -302,13 +302,29 @@ def test_unknown_preset():
     (["dump-trajectories", "--model", "preset:ou8"], dict(dt="inf", m="1"), "dt = 'inf'"),
     (["invariant", "--model", "preset:ou8"], dict(t_end="inf", m="10"), "t_end = 'inf'"),
     (["invariant", "--model", "preset:rd16"], dict(eps0="nan", m="10"), "eps0 = 'nan'"),
+    (["check", "gradient", "--model", "preset:ou8"], dict(m="1e3"), "m = '1e3'"),
+    (["check", "gradient", "--model", "preset:ou8"], dict(seed="1.5", m="10"), "seed = '1.5'"),
+    (["converge", "--model", "preset:ou8"], dict(n_list="2 x", bign="8", m="10"),
+     "n_list = 'x'"),
+    (["converge", "--model", "preset:ou8"], dict(n_list="-2 4", bign="8", m="10"),
+     "n_list = '-2'"),
+    (["converge", "--model", "preset:ou8"], dict(n_list="2 4", bign="0", m="10"), "bign = '0'"),
+    (["invariant", "--model", "preset:ou8"], dict(checkpoints="0", m="10"), "checkpoints"),
+    (["invariant", "--model", "preset:ou8"], dict(checkpoints="-3", m="10"), "checkpoints"),
+    (["dump-trajectories", "--model", "preset:ou8"], dict(m="0"), "m = '0'"),
+    (["dump-trajectories", "--model", "preset:ou8"], dict(m="-2"), "m = '-2'"),
+    (["check", "variance", "--model", "preset:ou8"], dict(v="zeros", m="10"), "|v|^2 = 0"),
 ], ids=["constants-negative-t", "check-unknown-functional", "check-e9-on-ou8",
         "check-e0", "invariant-eps-above-1", "dump-negative-dt", "converge-unknown-scheme",
         "check-empty-t", "converge-empty-t", "check-negative-batch-size",
         "invariant-negative-batch-size", "check-zero-batch-size", "misspelled-batch-size",
         "misspelled-m", "constants-nan-t", "constants-inf-t", "check-inf-t", "check-inf-k",
         "check-nan-k", "check-negative-k", "check-nan-scale", "check-inf-entry",
-        "dump-nan-dt", "dump-inf-dt", "invariant-inf-t-end", "invariant-nan-eps0"])
+        "dump-nan-dt", "dump-inf-dt", "invariant-inf-t-end", "invariant-nan-eps0",
+        "check-float-m", "check-float-seed", "converge-word-in-n-list",
+        "converge-negative-level", "converge-zero-bign",
+        "invariant-zero-checkpoints", "invariant-negative-checkpoints", "dump-zero-m",
+        "dump-negative-m", "check-zero-v"])
 def test_bad_config_exits_2(argv, cfg, named, tmp_path, capsys):
     out = tmp_path / "out"
     assert main(argv + ["--config", write_experiment(tmp_path, **cfg), "--out", str(out)]) == 2
@@ -352,27 +368,35 @@ def test_bad_input_file_exits_2(model, experiment, named, tmp_path, capsys):
     assert named in err
 
 
-def _run_at_huge_start(argv, tmp_path, x="1e160*ones"):
+def _run_at_huge_start(argv, tmp_path, x="1e160*ones", v="e1", **extra):
     # per-path values are so large that they, or their squares, overflow; run
     # as a process so that numpy warnings would show on stderr
-    cfg = write_experiment(tmp_path, x=x, m="20", t="0.05", t_end="0.05",
-                           checkpoints="2", dt="1e-2", n_list="2 4", bign="8", f="coord1")
+    base = dict(x=x, v=v, m="20", t="0.05", t_end="0.05", checkpoints="2", dt="1e-2",
+                n_list="2 4", bign="8", f="coord1")
+    cfg = write_experiment(tmp_path, **{**base, **extra})
     out = tmp_path / "out"
     proc = subprocess.run([sys.executable, "-m", "spdelab.cli", *argv, "--config", cfg,
                            "--out", str(out)], capture_output=True, text=True, env=_env())
     return proc, out
 
 
-@pytest.mark.parametrize("argv, x", [
-    (["converge", "--model", "preset:ou8"], "1e160*ones"),
-    (["invariant", "--model", "preset:ou-invariant"], "1e160*ones"),
-    (["check", "poincare", "--model", "preset:ou8"], "1e160*ones"),
-    (["converge", "--model", "preset:ou8"], "1e100*ones"),
-    (["invariant", "--model", "preset:ou-invariant"], "1e100*ones"),
-], ids=["converge", "invariant", "poincare", "converge-moments", "invariant-moments"])
-def test_nonfinite_estimate_exits_3(argv, x, tmp_path):
-    # at 1e160 |x|^2 overflows per path; at 1e100 only the merged moments do
-    proc, out = _run_at_huge_start(argv, tmp_path, x)
+@pytest.mark.parametrize("argv, cfg", [
+    (["converge", "--model", "preset:ou8"], dict(x="1e160*ones")),
+    (["invariant", "--model", "preset:ou-invariant"], dict(x="1e160*ones")),
+    (["check", "poincare", "--model", "preset:ou8"], dict(x="1e160*ones")),
+    (["converge", "--model", "preset:ou8"], dict(x="1e100*ones")),
+    (["invariant", "--model", "preset:ou-invariant"], dict(x="1e100*ones")),
+    (["check", "gradient", "--model", "preset:ou8"], dict(x="zeros", v="1e200*e1")),
+    (["check", "variance", "--model", "preset:ou8"], dict(x="zeros", v="1e200*e1")),
+    (["check", "gradient", "--model", "preset:rd16"],
+     dict(x="zeros", scheme="euler_maruyama", dt="1e-3")),
+], ids=["converge", "invariant", "poincare", "converge-moments", "invariant-moments",
+        "gradient-huge-v", "variance-huge-v", "gradient-unstable-scheme"])
+def test_nonfinite_estimate_exits_3(argv, cfg, tmp_path):
+    # at 1e160 |x|^2 overflows per path; at 1e100 only the merged moments do.  A
+    # huge v, or Euler-Maruyama at lambda_16 dt ~ 6e3 (the flow reaches ~1e190 in
+    # 50 steps), makes the squared directional derivative overflow
+    proc, out = _run_at_huge_start(argv, tmp_path, **cfg)
     assert proc.returncode == 3
     assert proc.stderr.startswith("numerical failure: ")
     assert proc.stderr.count("\n") == 1
@@ -399,5 +423,13 @@ def test_cold_start_loads_no_scipy(tmp_path):
         "loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
         "assert not loaded, loaded\n"
     )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_env())
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_package_import_loads_no_submodule():
+    code = ("import sys, spdelab\n"
+            "loaded = [m for m in sys.modules if m.startswith('spdelab.')]\n"
+            "assert not loaded, loaded\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_env())
     assert proc.returncode == 0, proc.stderr

@@ -13,8 +13,10 @@ reaction-diffusion model whose kernel integral tail is above tolerance
 (alpha = 0.6).  One more ``invariant`` case runs a single batch large enough
 for several tiles of several noise chunks.  Every command also runs at
 ``--threads 1`` on two model files: an OU reference and a 2-d reaction-diffusion model (whose
-kernel integral tail is above tolerance too).  Each case gets a directory holding ``stdout``,
-``stderr`` and ``exit_code``.
+kernel integral tail is above tolerance too).  A few ``ou8`` cases run edge inputs: a
+direction ``v = 1e200*e1`` whose squared derivative overflows, ``checkpoints = 0``, ``m = 0``
+and ``m = 1e3``.  Each case gets a directory holding ``stdout``, ``stderr`` and
+``exit_code``.
 
 Each case runs in a fresh interpreter with ``PYTHONPATH=SRC`` and, as working
 directory, a scratch directory holding the experiment and model files, so the
@@ -39,6 +41,12 @@ HUGE = dict(SMALL, x="1e160*ones", f="coord1")
 # noise chunks of 100 steps; the checkpoints fall in both
 CHUNKS = {"m": "20000", "batch_size": "20000", "t_end": "0.2", "dt": "1e-3",
           "checkpoints": "6"}
+# edge inputs, each run by the commands listed in EDGE_CASES
+EDGES = {"bigv": dict(SMALL, v="1e200*e1"), "nocheckpoints": dict(SMALL, checkpoints="0"),
+         "nopaths": dict(SMALL, m="0"), "floatm": dict(SMALL, m="1e3")}
+EDGE_CASES = ((["check", "gradient"], "bigv"), (["check", "variance"], "bigv"),
+              (["invariant"], "nocheckpoints"), (["dump-trajectories"], "nopaths"),
+              (["check", "gradient"], "floatm"))
 
 SLOW_TAIL_MODEL = """[model]
 kind = reaction_diffusion
@@ -115,10 +123,13 @@ def cases():
         for cmd in COMMANDS:
             yield (f"{'-'.join(cmd)}_{model}-file_small_t1",
                    cmd + ["--model", f"{model}.ini", "--threads", "1"], "small")
+    for cmd, cfg in EDGE_CASES:
+        yield (f"{'-'.join(cmd)}_ou8_{cfg}_t1",
+               cmd + ["--model", "preset:ou8", "--threads", "1"], cfg)
 
 
 def write_inputs(work: Path):
-    for name, cfg in (("small", SMALL), ("huge", HUGE), ("chunks", CHUNKS)):
+    for name, cfg in (("small", SMALL), ("huge", HUGE), ("chunks", CHUNKS), *EDGES.items()):
         body = "[experiment]\n" + "".join(f"{k} = {v}\n" for k, v in cfg.items())
         (work / f"{name}.ini").write_text(body)
     for name, body in MODEL_FILES.items():
