@@ -104,7 +104,7 @@ def load_model(spec: str) -> Model:
             raise ConfigError(f"model file missing [{sec}] section")
     try:
         sides = []
-        for i in range(cp["domain"].getint("d", fallback=1)):
+        for i in range(_whole(cp["domain"].get("d", "1"), "[domain] d", 1)):
             raw = cp["domain"].get(f"side_{i}", "0 1")
             ends = _floats(raw, f"[domain] side_{i}")
             if len(ends) != 2:
@@ -115,8 +115,8 @@ def load_model(spec: str) -> Model:
             alpha=_number(cp["alpha"]["value"], "[alpha] value"),
             psi=_parse_scalar_spec(cp["psi"]),
             phi=_parse_scalar_spec(cp["phi"]),
-            n=cp["galerkin"].getint("n"),
-            quad_points=cp["galerkin"].getint("quad_points"),
+            n=_whole(cp["galerkin"]["n"], "[galerkin] n", 1),
+            quad_points=_whole(cp["galerkin"]["quad_points"], "[galerkin] quad_points"),
         )
     except (KeyError, TypeError, ValueError) as e:
         raise ConfigError(f"invalid model file {spec!r}: {e}") from e
@@ -284,7 +284,7 @@ def cmd_constants(model: Model, cfg: dict, args) -> int:
             row["logharnack_constant"] = kernels.logharnack_constant(
                 t, profile.t0, profile.lambda_sigma)
         else:
-            row["logharnack_constant"] = "inf"
+            row["logharnack_constant"] = math.inf
         if profile.lambda_bar_sigma is not None:
             row["poincare_constant"] = kernels.poincare_constant(
                 t, profile.t0, profile.lambda_bar_sigma)
@@ -366,8 +366,7 @@ def cmd_invariant(model: Model, cfg: dict, args) -> int:
         out["growth_condition"] = {"eps0": eps0, "C0": C0, "holds": growth_ok}
         eps = _number(cfg["eps"], "eps")
         finite, value = model.profile().Ksigma.epsilon_integral(eps)
-        out["epsilon_integrability"] = {"eps": eps, "finite": finite,
-                                        "value": value if finite else "inf"}
+        out["epsilon_integrability"] = {"eps": eps, "finite": finite, "value": value}
         if not growth_ok:
             out["verdict"] = "growth-condition-failed"
             _json_report(args.out, out)

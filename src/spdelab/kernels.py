@@ -13,8 +13,10 @@ Kernel forms:
 * ``ModeSeriesKernel``           K(t) = sum_m w_m e^{-r_m t} with explicit
   per-mode weights/rates (exact rectangle data)
 
-All series are summed with provable integral-comparison tail bounds, so
-values are deterministic to the truncation tolerance ``TRUNCATION_TOL``.
+Each form (no shared base class) sums ``integral`` term by term in closed
+form, and ``epsilon_integral`` returns (finite?, value or inf).  All series
+are summed with provable integral-comparison tail bounds, so values are
+deterministic to the truncation tolerance ``TRUNCATION_TOL``.
 """
 from __future__ import annotations
 
@@ -34,25 +36,6 @@ _MAX_TERMS = 5_000_000  # most terms a power-series integral sums
 
 class KernelError(ValueError):
     """Kernel series diverges or is not integrable for the requested use."""
-
-
-class Kernel:
-    """Base interface: pointwise value, running integral, integrability."""
-
-    def value(self, t):
-        raise NotImplementedError
-
-    def integral(self, t):
-        """phi(t) = int_0^t K(s) ds, termwise in closed form for series."""
-        raise NotImplementedError
-
-    def integral_to_inf(self) -> float:
-        """lim_{t->inf} phi(t); may be math.inf."""
-        raise NotImplementedError
-
-    def epsilon_integral(self, eps: float) -> tuple[bool, float]:
-        """int_0^1 s^{-eps} K(s) ds; (finite?, value or inf)."""
-        raise NotImplementedError
 
 
 def _per_time(t, at, positive: bool):
@@ -76,7 +59,7 @@ def _mode_integral(w: np.ndarray, r: np.ndarray, t: float) -> float:
 
 
 @dataclass(frozen=True)
-class ConstantKernel(Kernel):
+class ConstantKernel:
     """K(t) = c^2 for a Lipschitz constant c >= 0."""
 
     c: float
@@ -122,7 +105,7 @@ def _exp_series_tail(coef: float, k: float, rate: float, p: float, m_from: float
 
 
 @dataclass(frozen=True)
-class PowerSeriesKernel(Kernel):
+class PowerSeriesKernel:
     """K(t) = C sum_{m>=1} m^k e^{-delta t m^p} with k = 0 or 1.
 
     k = 0 is the uniformly-bounded-eigenfunction form; k = 1 carries the extra
@@ -211,7 +194,7 @@ class PowerSeriesKernel(Kernel):
 
 
 @dataclass(frozen=True)
-class ModeSeriesKernel(Kernel):
+class ModeSeriesKernel:
     """K(t) = sum_m w_m e^{-r_m t} from explicit per-mode weights and rates.
 
     ``rate_exponent`` is the asymptotic growth order of the rates
@@ -230,8 +213,10 @@ class ModeSeriesKernel(Kernel):
             raise DomainError("weights and rates must be matching 1-d arrays")
         if np.any(w < 0) or np.any(r <= 0):
             raise DomainError("weights must be >= 0 and rates > 0")
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "rates", np.sort(r) if np.any(np.diff(r) < 0) else r)
+        # sort by rate, each weight staying with its rate
+        order = np.argsort(r, kind="stable")
+        object.__setattr__(self, "weights", w[order])
+        object.__setattr__(self, "rates", r[order])
         # the integral's tail depends on the stored modes only: warn once, naming
         # the line that built the kernel
         tail = self._integral_tail() if self.rate_exponent > 1.0 else 0.0
@@ -289,6 +274,8 @@ class ModeSeriesKernel(Kernel):
         tail = w_env * g * kappa ** (eps - 1.0) * self.weights.size ** (1.0 - q) / (q - 1.0)
         return True, float(terms.sum()) + 0.5 * tail
 
+
+Kernel = ConstantKernel | PowerSeriesKernel | ModeSeriesKernel
 
 T0_HORIZON = 1e9
 _T0_TOL = 1e-12

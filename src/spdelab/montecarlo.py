@@ -355,14 +355,14 @@ class MonteCarlo:
                 for lv in n_list]
 
 
-def plateau_verdict(rows, window: int = 3) -> str:
-    """Heuristic boundedness verdict: last `window` estimates within 2 stderr.
+def plateau_verdict(rows) -> str:
+    """Heuristic boundedness verdict: the last 3 estimates within 2 stderr.
 
     A desk-scale stand-in for sup_t E|X_t|^2 < inf, not a proof.
     """
-    if len(rows) < window:
+    if len(rows) < 3:
         return "inconclusive"
-    tail = rows[-window:]
+    tail = rows[-3:]
     for i in range(len(tail)):
         for j in range(i + 1, len(tail)):
             _, mi, si = tail[i]

@@ -9,7 +9,7 @@ from .simulate import CallbackBundle, diagonal_constant_diffusion
 from .spectral import DomainError, unit_interval
 
 
-def bounded_reaction_model(n: int = 16, quad_points: int = 64) -> ReactionDiffusionModel:
+def bounded_reaction_model() -> ReactionDiffusionModel:
     """1-d rectangle test model with bounded coefficients.
 
     alpha = 2, psi = 0.5 arctan, phi = 1 + 0.1 sin: drift Lipschitz constant
@@ -21,8 +21,8 @@ def bounded_reaction_model(n: int = 16, quad_points: int = 64) -> ReactionDiffus
         alpha=2.0,
         psi=ScalarFunctionSpec.atan_scaled(0.5),
         phi=ScalarFunctionSpec.sin_perturbed(1.0, 0.1, 1.0),
-        n=n,
-        quad_points=quad_points,
+        n=16,
+        quad_points=64,
     )
 
 

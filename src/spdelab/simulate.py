@@ -117,10 +117,17 @@ def _parts(total: int, most: int) -> list[tuple[int, int]]:
 
 
 def _linear_update(lambdas: np.ndarray, dt: float, scheme: str) -> Callable:
-    """(state, increment) -> state at the next step; the linear part of the scheme."""
+    """(state, increment) -> state at the next step; the linear part of the scheme.
+
+    Explicit Euler-Maruyama is refused past its stability limit lambda_max dt <= 2.
+    """
     if scheme == "exponential_euler":
         decay = np.exp(-lambdas * dt)
         return lambda x, dx: decay * (x + dx)
+    lam_dt = float(lambdas.max()) * dt
+    if lam_dt > 2.0:
+        raise ValueError(f"euler_maruyama is unstable at lambda_max * dt = {lam_dt:.3g} > 2; "
+                         "lower dt or use exponential_euler")
     return lambda x, dx: x + (-lambdas * x) * dt + dx
 
 
@@ -151,7 +158,7 @@ def simulate_batch(x0: np.ndarray, path_ids, cfg: SchemeConfig, lambdas: np.ndar
     K = cfg.n_steps
     dt = cfg.realized_dt
     sqdt = np.sqrt(dt)
-    update = _linear_update(lambdas, dt, cfg.scheme)
+    update = _linear_update(lambdas, dt, cfg.scheme) if K else None
     checkpoint_steps = set(int(s) for s in checkpoint_steps)
     snaps = {k: x.copy() if k == 0 else np.empty((B, n))
              for k in sorted(checkpoint_steps) if 0 <= k <= K}

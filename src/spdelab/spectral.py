@@ -90,9 +90,6 @@ def eigenfunction_eval(domain: RectDomain, m, xi) -> float:
 def _enumerate_sorted_modes(domain: RectDomain, alpha: float, n: int):
     """First n multi-indices sorted by eigenvalue, ties broken lexicographically."""
     d = domain.d
-    if d == 1:
-        modes = np.arange(1, n + 1, dtype=np.int64)[:, None]
-        return modes, eigenvalue(domain, alpha, modes)
     box = max(2, math.ceil(n ** (1.0 / d)) + 1)
     L = domain.lengths
     while True:

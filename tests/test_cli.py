@@ -314,6 +314,9 @@ def test_unknown_preset():
     (["dump-trajectories", "--model", "preset:ou8"], dict(m="0"), "m = '0'"),
     (["dump-trajectories", "--model", "preset:ou8"], dict(m="-2"), "m = '-2'"),
     (["check", "variance", "--model", "preset:ou8"], dict(v="zeros", m="10"), "|v|^2 = 0"),
+    # lambda_16 dt ~ 6.4e3 is far past explicit Euler's stability limit of 2
+    (["check", "gradient", "--model", "preset:rd16"],
+     dict(x="zeros", scheme="euler_maruyama", dt="1e-3", m="20", t="0.05"), "euler_maruyama"),
 ], ids=["constants-negative-t", "check-unknown-functional", "check-e9-on-ou8",
         "check-e0", "invariant-eps-above-1", "dump-negative-dt", "converge-unknown-scheme",
         "check-empty-t", "converge-empty-t", "check-negative-batch-size",
@@ -324,7 +327,7 @@ def test_unknown_preset():
         "check-float-m", "check-float-seed", "converge-word-in-n-list",
         "converge-negative-level", "converge-zero-bign",
         "invariant-zero-checkpoints", "invariant-negative-checkpoints", "dump-zero-m",
-        "dump-negative-m", "check-zero-v"])
+        "dump-negative-m", "check-zero-v", "gradient-unstable-scheme"])
 def test_bad_config_exits_2(argv, cfg, named, tmp_path, capsys):
     out = tmp_path / "out"
     assert main(argv + ["--config", write_experiment(tmp_path, **cfg), "--out", str(out)]) == 2
@@ -351,10 +354,17 @@ def test_bad_config_exits_2(argv, cfg, named, tmp_path, capsys):
     (OU_MODEL, "[experiment]\nt = nan\n", "t = 'nan'"),
     (OU_MODEL, "[experiment]\nt = inf\n", "t = 'inf'"),
     ("[model]\nkind = ou\n[ou]\nlambdas = 1 2 3\nphi0 = 1e200\n", None, "phi0"),
+    (RD_MODEL.replace("n = 8", "n = 1.5"), None, "[galerkin] n = '1.5'"),
+    (RD_MODEL.replace("n = 8", "n = 0"), None, "[galerkin] n = '0' is not an integer >= 1"),
+    (RD_MODEL.replace("quad_points = 32", "quad_points = 3e1"), None,
+     "[galerkin] quad_points = '3e1'"),
+    (RD_MODEL.replace("d = 1", "d = 1.0"), None, "[domain] d = '1.0'"),
+    (RD_MODEL.replace("d = 1", "d = 0"), None, "[domain] d = '0' is not an integer >= 1"),
 ], ids=["side-with-one-number", "ou-without-lambdas", "ou-zero-lambda",
         "model-without-section", "experiment-without-section", "nan-alpha", "inf-alpha",
         "nan-phi-amp", "inf-psi-a", "inf-side", "nan-ou-lambda", "ou-phi0-not-a-number",
-        "nan-t", "inf-t", "ou-phi0-square-overflows"])
+        "nan-t", "inf-t", "ou-phi0-square-overflows", "float-n", "zero-n",
+        "float-quad-points", "float-d", "zero-d"])
 def test_bad_input_file_exits_2(model, experiment, named, tmp_path, capsys):
     argv = ["constants", "--model", str(tmp_path / "m.ini")]
     (tmp_path / "m.ini").write_text(model)
@@ -388,14 +398,11 @@ def _run_at_huge_start(argv, tmp_path, x="1e160*ones", v="e1", **extra):
     (["invariant", "--model", "preset:ou-invariant"], dict(x="1e100*ones")),
     (["check", "gradient", "--model", "preset:ou8"], dict(x="zeros", v="1e200*e1")),
     (["check", "variance", "--model", "preset:ou8"], dict(x="zeros", v="1e200*e1")),
-    (["check", "gradient", "--model", "preset:rd16"],
-     dict(x="zeros", scheme="euler_maruyama", dt="1e-3")),
 ], ids=["converge", "invariant", "poincare", "converge-moments", "invariant-moments",
-        "gradient-huge-v", "variance-huge-v", "gradient-unstable-scheme"])
+        "gradient-huge-v", "variance-huge-v"])
 def test_nonfinite_estimate_exits_3(argv, cfg, tmp_path):
     # at 1e160 |x|^2 overflows per path; at 1e100 only the merged moments do.  A
-    # huge v, or Euler-Maruyama at lambda_16 dt ~ 6e3 (the flow reaches ~1e190 in
-    # 50 steps), makes the squared directional derivative overflow
+    # huge v makes the squared directional derivative overflow
     proc, out = _run_at_huge_start(argv, tmp_path, **cfg)
     assert proc.returncode == 3
     assert proc.stderr.startswith("numerical failure: ")

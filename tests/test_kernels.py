@@ -124,6 +124,18 @@ def test_array_times_match_scalar_calls(kernel):
         np.testing.assert_array_equal(out, scalars)
 
 
+def test_unsorted_rates_keep_their_weights():
+    # the kernel sorts by rate; each weight must move with its rate
+    with pytest.warns(UserWarning, match="tail bound"):  # two modes leave a large tail
+        unsorted = ModeSeriesKernel(weights=[1.0, 100.0], rates=[10.0, 1.0], rate_exponent=3.0)
+        ordered = ModeSeriesKernel(weights=[100.0, 1.0], rates=[1.0, 10.0], rate_exponent=3.0)
+        for method, arg in ((ModeSeriesKernel.value, 0.5), (ModeSeriesKernel.integral, 1.0),
+                            (ModeSeriesKernel.epsilon_integral, 0.5)):
+            assert method(unsorted, arg) == method(ordered, arg)
+    assert unsorted.integral_to_inf() == ordered.integral_to_inf()
+    assert unsorted.integral(1.0) == pytest.approx(100 * -math.expm1(-1) + 0.1 * -math.expm1(-10))
+
+
 def test_value_tail_warning_names_calling_line():
     # rates growing like m leave a value tail far above tolerance at every t
     k = ModeSeriesKernel(weights=np.ones(8), rates=np.arange(1.0, 9.0), rate_exponent=1.0)

@@ -4,7 +4,7 @@ import weakref
 import numpy as np
 import pytest
 
-from spdelab import simulate
+from spdelab import presets, simulate
 from spdelab.noise import BatchReader, NoiseStream
 from spdelab.reaction import build_callbacks
 from spdelab.simulate import (CallbackBundle, SchemeConfig, SimulationError,
@@ -64,6 +64,18 @@ class TestStep:
         with pytest.raises((SimulationError, ValueError)):
             simulate_batch(np.zeros(3), [0], cfg, np.ones(4),
                            diagonal_constant_diffusion(1.0), noise)
+
+    def test_euler_maruyama_refused_past_stability_limit(self):
+        # explicit Euler is stable only for lambda_max dt <= 2: rd16 has
+        # lambda_16 dt ~ 6.4e3 at dt = 1e-3, ou8 has lambda_8 dt = 4e-3
+        cfg = SchemeConfig(dt=1e-3, t_end=0.01, scheme="euler_maruyama")
+        rd16, ou8 = presets.bounded_reaction_model(), presets.ou_moments_preset()
+        with pytest.raises(ValueError, match=r"euler_maruyama .* = 6\.38e\+03 > 2"):
+            simulate_batch(np.zeros(16), [0], cfg, rd16.lambdas, rd16.callbacks,
+                           NoiseStream(seed=0, width=16))
+        out = simulate_batch(np.zeros(8), [0, 1], cfg, ou8.lambdas, ou8.callbacks,
+                             NoiseStream(seed=0, width=8))["x"]
+        assert np.isfinite(out).all() and out.any()
 
     def test_nonfinite_state_names_step(self):
         cb = CallbackBundle(drift=lambda x: np.full_like(x, np.nan),

@@ -106,6 +106,17 @@ class TestSpectrumEnumeration:
         expect = np.array([(m * math.pi) ** 4 for m in range(1, 9)])
         np.testing.assert_allclose(sp.lambdas, expect, rtol=1e-14)
 
+    @pytest.mark.parametrize("L", [1.0, 2.5])
+    @pytest.mark.parametrize("alpha", [0.6, 2.0, 2.7])
+    @pytest.mark.parametrize("n", [1, 16, 4096])
+    def test_d1_spectrum_is_the_eigenvalue_sequence(self, L, alpha, n):
+        # the box search serves d = 1 too: modes 1..n, eigenvalues bit for bit
+        domain = RectDomain(sides=((0.0, L),))
+        sp = EigenSpectrum.synthesize(domain, alpha, n)
+        m = np.arange(1, n + 1)
+        np.testing.assert_array_equal(sp.modes[:, 0], m)
+        np.testing.assert_array_equal(sp.lambdas, eigenvalue(domain, alpha, m[:, None]))
+
     def test_d2_energy_order_with_lex_ties(self):
         sp = EigenSpectrum.synthesize(SQUARE, 1.0, 6)
         # modes of the unit square in energy order; ties (1,2)/(2,1) broken

@@ -15,8 +15,10 @@ for several tiles of several noise chunks.  Every command also runs at
 ``--threads 1`` on two model files: an OU reference and a 2-d reaction-diffusion model (whose
 kernel integral tail is above tolerance too).  A few ``ou8`` cases run edge inputs: a
 direction ``v = 1e200*e1`` whose squared derivative overflows, ``checkpoints = 0``, ``m = 0``
-and ``m = 1e3``.  Each case gets a directory holding ``stdout``, ``stderr`` and
-``exit_code``.
+and ``m = 1e3``; ``check gradient`` runs under ``euler_maruyama`` at dt = 1e-3 on ``rd16``
+(past the scheme's stability limit) and on ``ou8`` (within it), and ``constants`` reads a
+model file with ``[galerkin] n = 1.5``.  Each case gets a directory holding ``stdout``,
+``stderr`` and ``exit_code``.
 
 Each case runs in a fresh interpreter with ``PYTHONPATH=SRC`` and, as working
 directory, a scratch directory holding the experiment and model files, so the
@@ -43,10 +45,13 @@ CHUNKS = {"m": "20000", "batch_size": "20000", "t_end": "0.2", "dt": "1e-3",
           "checkpoints": "6"}
 # edge inputs, each run by the commands listed in EDGE_CASES
 EDGES = {"bigv": dict(SMALL, v="1e200*e1"), "nocheckpoints": dict(SMALL, checkpoints="0"),
-         "nopaths": dict(SMALL, m="0"), "floatm": dict(SMALL, m="1e3")}
-EDGE_CASES = ((["check", "gradient"], "bigv"), (["check", "variance"], "bigv"),
-              (["invariant"], "nocheckpoints"), (["dump-trajectories"], "nopaths"),
-              (["check", "gradient"], "floatm"))
+         "nopaths": dict(SMALL, m="0"), "floatm": dict(SMALL, m="1e3"),
+         "em": dict(SMALL, scheme="euler_maruyama", dt="1e-3")}
+EDGE_CASES = ((["check", "gradient"], "ou8", "bigv"), (["check", "variance"], "ou8", "bigv"),
+              (["invariant"], "ou8", "nocheckpoints"),
+              (["dump-trajectories"], "ou8", "nopaths"),
+              (["check", "gradient"], "ou8", "floatm"), (["check", "gradient"], "rd16", "em"),
+              (["check", "gradient"], "ou8", "em"))
 
 SLOW_TAIL_MODEL = """[model]
 kind = reaction_diffusion
@@ -97,7 +102,8 @@ n = 8
 quad_points = 16
 """
 
-MODEL_FILES = {"alpha06.ini": SLOW_TAIL_MODEL, "ou.ini": OU_MODEL, "rd2d.ini": RD2D_MODEL}
+MODEL_FILES = {"alpha06.ini": SLOW_TAIL_MODEL, "ou.ini": OU_MODEL, "rd2d.ini": RD2D_MODEL,
+               "floatn.ini": SLOW_TAIL_MODEL.replace("n = 8", "n = 1.5")}
 
 COMMANDS = (["validate"], ["constants"], ["check", "gradient"], ["check", "logharnack"],
             ["check", "variance"], ["check", "poincare"], ["check", "flowbound"],
@@ -123,9 +129,10 @@ def cases():
         for cmd in COMMANDS:
             yield (f"{'-'.join(cmd)}_{model}-file_small_t1",
                    cmd + ["--model", f"{model}.ini", "--threads", "1"], "small")
-    for cmd, cfg in EDGE_CASES:
-        yield (f"{'-'.join(cmd)}_ou8_{cfg}_t1",
-               cmd + ["--model", "preset:ou8", "--threads", "1"], cfg)
+    for cmd, model, cfg in EDGE_CASES:
+        yield (f"{'-'.join(cmd)}_{model}_{cfg}_t1",
+               cmd + ["--model", f"preset:{model}", "--threads", "1"], cfg)
+    yield "constants_floatn-file_small_t1", ["constants", "--model", "floatn.ini"], "small"
 
 
 def write_inputs(work: Path):
