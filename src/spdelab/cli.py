@@ -125,8 +125,7 @@ def load_model(spec: str) -> Model:
 # -- experiment config -----------------------------------------------------------
 
 _DEFAULTS = {
-    "t": "0.05 0.2", "m": "10000", "dt": "1e-3", "seed": "12345", "k": "4.0",
-    "scheme": "exponential_euler", "threads": "1", "f": "sin1",
+    "t": "0.05 0.2", "m": "10000", "dt": "1e-3", "seed": "12345", "threads": "1", "f": "sin1",
     "x": "zeros", "y": "zeros", "v": "e1", "t_end": "10.0",
     "checkpoints": "8", "n_list": "4 8 16 32", "bign": "64",
     "eps0": "1.0", "c0": "2.0", "eps": "0.5", "batch_size": "4096",
@@ -230,7 +229,7 @@ def _csv_report(out_path: str | None, header: str, rows):
 def _make_mc(cfg: dict, lambdas: np.ndarray, callbacks) -> MonteCarlo:
     noise = NoiseStream(seed=_whole(cfg["seed"], "seed"), width=lambdas.size)
     return MonteCarlo(lambdas, callbacks, noise, dt=_number(cfg["dt"], "dt"),
-                      scheme=cfg["scheme"], threads=_whole(cfg["threads"], "threads"),
+                      threads=_whole(cfg["threads"], "threads", 1),
                       batch_size=_whole(cfg["batch_size"], "batch_size"))
 
 
@@ -306,9 +305,6 @@ def cmd_check(model: Model, cfg: dict, args) -> int:
     v = _vector(cfg["v"], n, "v")
     t = _floats(cfg["t"], "t")[0]
     M = _whole(cfg["m"], "m", 1)
-    k = _number(cfg["k"], "k")
-    if k < 0:
-        raise ConfigError("k must be >= 0")
     which = args.which
     if which in ("logharnack", "variance") and profile.lambda_sigma <= 0:
         print("assumption failed: uniform_ellipticity", file=sys.stderr)
@@ -317,15 +313,15 @@ def cmd_check(model: Model, cfg: dict, args) -> int:
         print("assumption failed: sigma_bounded_above", file=sys.stderr)
         return EXIT_CONFIG
     if which == "gradient":
-        rep = mc.check_gradient_bound(f, x, v, t, profile.t0, M, k)
+        rep = mc.check_gradient_bound(f, x, v, t, profile.t0, M)
     elif which == "logharnack":
-        rep = mc.check_log_harnack(f, x, y, t, profile.t0, profile.lambda_sigma, M, k)
+        rep = mc.check_log_harnack(f, x, y, t, profile.t0, profile.lambda_sigma, M)
     elif which == "variance":
-        rep = mc.check_variance_gradient(f, x, v, t, profile.t0, profile.lambda_sigma, M, k)
+        rep = mc.check_variance_gradient(f, x, v, t, profile.t0, profile.lambda_sigma, M)
     elif which == "poincare":
-        rep = mc.check_poincare(f, x, t, profile.t0, profile.lambda_bar_sigma, M, k)
+        rep = mc.check_poincare(f, x, t, profile.t0, profile.lambda_bar_sigma, M)
     else:
-        rep = mc.check_flow_bound(x, v, t, profile.t0, M, k)
+        rep = mc.check_flow_bound(x, v, t, profile.t0, M)
     _write(args.out, rep.to_json() + "\n")
     return EXIT_PASS if rep.passed else EXIT_STAT_FAIL
 
@@ -383,8 +379,7 @@ def cmd_invariant(model: Model, cfg: dict, args) -> int:
 
 def cmd_dump_trajectories(model: Model, cfg: dict, args) -> int:
     noise = NoiseStream(seed=_whole(cfg["seed"], "seed"), width=model.n)
-    scfg = SchemeConfig(dt=_number(cfg["dt"], "dt"), t_end=_number(cfg["t_end"], "t_end"),
-                        scheme=cfg["scheme"])
+    scfg = SchemeConfig(dt=_number(cfg["dt"], "dt"), t_end=_number(cfg["t_end"], "t_end"))
     x0 = _vector(cfg["x"], model.n, "x")
     M = _whole(cfg["m"], "m", 1)
     cb = model.callbacks

@@ -5,11 +5,12 @@ derivative flow or coupled finite differences), and variances, then verifies
 the gradient / log-Harnack / variance / Poincare bounds statistically: an
 inequality "passes" if
 
-    lhs_hat - k * lhs_se <= rhs_hat + k * rhs_se
+    lhs_hat - SLACK * lhs_se <= rhs_hat + SLACK * rhs_se
 
-with slack multiplier k (default 4).  The bounds under test are inequalities
-between exact expectations, so Monte Carlo can only refute with slack; k = 4
-keeps the false-alarm rate per check below 1e-4.
+with the constant SLACK = 4.  The bounds under test are inequalities between
+exact expectations, so Monte Carlo can only refute with slack; 4 combined
+standard errors keep the false-alarm rate per check below 1e-4.  No caller can
+change the slack: a looser gate would let a violated bound pass.
 
 Every estimate, the moment curves and the Galerkin gaps included, goes
 through one sampler, ``MonteCarlo._sample``.  It splits the paths into
@@ -32,6 +33,9 @@ from . import kernels
 from .functionals import Functional
 from .noise import NoiseStream
 from .simulate import CallbackBundle, SchemeConfig, simulate_batch
+
+
+SLACK = 4.0
 
 
 class EstimationError(RuntimeError):
@@ -115,11 +119,11 @@ class CheckReport:
         return json.dumps(d, sort_keys=True)
 
 
-def _passes(lhs_hat, lhs_se, rhs_hat, rhs_se, k) -> bool:
+def _passes(lhs_hat, lhs_se, rhs_hat, rhs_se) -> bool:
     # the roundoff guard keeps degenerate equality cases (both sides the same
     # constant, zero stderr) from failing by one ulp of summation noise
     guard = 8 * np.finfo(float).eps * max(abs(lhs_hat), abs(rhs_hat))
-    return lhs_hat - k * lhs_se <= rhs_hat + k * rhs_se + guard
+    return lhs_hat - SLACK * lhs_se <= rhs_hat + SLACK * rhs_se + guard
 
 
 def _pairing(f: Functional):
@@ -142,22 +146,22 @@ class MonteCarlo:
     """Estimator bundle for one model (spectrum + coefficient callbacks)."""
 
     def __init__(self, lambdas, callbacks: CallbackBundle, noise: NoiseStream,
-                 dt: float = 1e-3, scheme: str = "exponential_euler",
-                 threads: int = 1, batch_size: int = 2048):
+                 dt: float = 1e-3, threads: int = 1, batch_size: int = 2048):
         self.lambdas = np.asarray(lambdas, dtype=float)
         self.callbacks = callbacks
         self.noise = noise
         self.dt = dt
-        self.scheme = scheme
-        self.threads = max(1, threads)
+        self.threads = threads
         self.batch_size = batch_size
         if noise.width < self.lambdas.size:
             raise ValueError("noise stream width is smaller than the mode count")
+        if threads < 1:
+            raise ValueError(f"threads must be at least 1, got {threads}")
         if batch_size < 1:
             raise ValueError(f"batch_size must be at least 1, got {batch_size}")
 
     def _cfg(self, t: float) -> SchemeConfig:
-        return SchemeConfig(dt=self.dt, t_end=t, scheme=self.scheme)
+        return SchemeConfig(dt=self.dt, t_end=t)
 
     def _blocks(self, M: int):
         if M < 1:
@@ -229,26 +233,26 @@ class MonteCarlo:
 
     # -- inequality checks -----------------------------------------------------
 
-    def _report(self, name, lhs, lhs_se, rhs, rhs_se, const, k, t, M) -> CheckReport:
+    def _report(self, name, lhs, lhs_se, rhs, rhs_se, const, t, M) -> CheckReport:
         _require_finite(f"{name} check", lhs_hat=lhs, lhs_se=lhs_se, rhs_hat=rhs, rhs_se=rhs_se)
         return CheckReport(
             inequality=name, lhs_hat=lhs, lhs_se=lhs_se, rhs_hat=rhs, rhs_se=rhs_se,
-            constant_used=const, slack=k, passed=_passes(lhs, lhs_se, rhs, rhs_se, k),
+            constant_used=const, slack=SLACK, passed=_passes(lhs, lhs_se, rhs, rhs_se),
             M=M, dt=self._cfg(t).realized_dt if t > 0 else 0.0, n=self.lambdas.size,
             seed=self.noise.seed, t=t)
 
     def check_gradient_bound(self, f: Functional, x0, v, t: float, t0: float,
-                             M: int, k: float = 4.0) -> CheckReport:
+                             M: int) -> CheckReport:
         """|d_v P_t f|^2 / |v|^2 <= 6^{1+t/t0} P_t |grad f|^2."""
         st = self._sample(x0, t, M, {
             "pair": _pairing(f), "gradsq": lambda r: f.grad_norm_sq(r["x"])}, v=v)
         lhs, lhs_se = _directional_sq(st["pair"], v)
         const = kernels.gradient_constant(t, t0)
         rhs, rhs_se = const * st["gradsq"].mean, const * st["gradsq"].se
-        return self._report("gradient", lhs, lhs_se, rhs, rhs_se, const, k, t, M)
+        return self._report("gradient", lhs, lhs_se, rhs, rhs_se, const, t, M)
 
     def check_log_harnack(self, f: Functional, x, y, t: float, t0: float,
-                          lambda_sigma: float, M: int, k: float = 4.0) -> CheckReport:
+                          lambda_sigma: float, M: int) -> CheckReport:
         """P_t log f(y) <= log P_t f(x) + C(t) |x - y|^2 for strictly positive f."""
         if not f.strictly_positive:
             raise ValueError("log-Harnack check needs a strictly positive functional")
@@ -260,26 +264,26 @@ class MonteCarlo:
             "logf_y": lambda r: np.log(f.eval(r["y"])),
         }, y0=y)
         fx = st["f_x"]
-        if fx.mean - 4.0 * fx.se <= 0.0:
+        if fx.mean - SLACK * fx.se <= 0.0:
             raise EstimationError("P_t f estimate not positive beyond noise; log undefined")
         dist2 = float(np.sum((x - y) ** 2))
         lhs, lhs_se = st["logf_y"].mean, st["logf_y"].se
         rhs = math.log(fx.mean) + const * dist2
         rhs_se = fx.se / fx.mean
-        return self._report("logharnack", lhs, lhs_se, rhs, rhs_se, const, k, t, M)
+        return self._report("logharnack", lhs, lhs_se, rhs, rhs_se, const, t, M)
 
     def check_variance_gradient(self, f: Functional, x0, v, t: float, t0: float,
-                                lambda_sigma: float, M: int, k: float = 4.0) -> CheckReport:
+                                lambda_sigma: float, M: int) -> CheckReport:
         """|d_v P_t f|^2 / |v|^2 <= C(t) (P_t f^2 - (P_t f)^2), same C as log-Harnack."""
         const = kernels.logharnack_constant(t, t0, lambda_sigma)
         st = self._sample(x0, t, M, {
             "pair": _pairing(f), "f": lambda r: f.eval(r["x"])}, v=v)
         lhs, lhs_se = _directional_sq(st["pair"], v)
         rhs, rhs_se = const * st["f"].var, const * st["f"].se_var
-        return self._report("variance_gradient", lhs, lhs_se, rhs, rhs_se, const, k, t, M)
+        return self._report("variance_gradient", lhs, lhs_se, rhs, rhs_se, const, t, M)
 
     def check_poincare(self, f: Functional, x0, t: float, t0: float,
-                       lambda_bar: float, M: int, k: float = 4.0) -> CheckReport:
+                       lambda_bar: float, M: int) -> CheckReport:
         """P_t f^2 - (P_t f)^2 <= C(t) P_t |grad f|^2 (needs the upper bound on sigma)."""
         if lambda_bar is None:
             raise ValueError("Poincare check needs the upper ellipticity bound lambda_bar")
@@ -290,16 +294,15 @@ class MonteCarlo:
         })
         lhs, lhs_se = st["f"].var, st["f"].se_var
         rhs, rhs_se = const * st["gradsq"].mean, const * st["gradsq"].se
-        return self._report("poincare", lhs, lhs_se, rhs, rhs_se, const, k, t, M)
+        return self._report("poincare", lhs, lhs_se, rhs, rhs_se, const, t, M)
 
-    def check_flow_bound(self, x0, v, t: float, t0: float, M: int,
-                         k: float = 4.0) -> CheckReport:
+    def check_flow_bound(self, x0, v, t: float, t0: float, M: int) -> CheckReport:
         """E |J_t|^2 <= 6^{(t+t0)/t0} |v|^2 for the derivative flow J started at v."""
         st = self._sample(x0, t, M, {"flowsq": lambda r: np.sum(r["flow"] ** 2, axis=-1)},
                           v=v)["flowsq"]
         v2 = float(np.sum(np.asarray(v, float) ** 2))
         const = kernels.gradient_constant(t, t0)
-        return self._report("flow_bound", st.mean, st.se, const * v2, 0.0, const, k, t, M)
+        return self._report("flow_bound", st.mean, st.se, const * v2, 0.0, const, t, M)
 
     # -- moment curves and Galerkin convergence --------------------------------
 

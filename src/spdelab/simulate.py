@@ -1,14 +1,15 @@
 """Time stepping for the truncated spectral system and its derivative flow.
 
-The default scheme is the exponential (mild-form) Euler: the exact linear
-factor e^{-lambda dt} is applied per mode and the nonlinear coefficients are
-frozen over the step,
+The one scheme is the exponential (mild-form) Euler: the exact linear factor
+e^{-lambda dt} is applied per mode and the nonlinear coefficients are frozen
+over the step,
 
     x_{k+1,i} = e^{-lambda_i dt} (x_k + b(x_k) dt + sigma(x_k) dW)_i.
 
-A plain Euler-Maruyama scheme is kept for cross-validation.  The derivative
-flow (pathwise linearization along a direction v) is integrated jointly with
-the state using the same noise draws and the same exponential factor.  A model
+It discretizes the mild solution, whose expectations the checked bounds are
+about, and its linear part is stable at any lambda dt.  The derivative flow
+(pathwise linearization along a direction v) is integrated jointly with the
+state using the same noise draws and the same exponential factor.  A model
 enters only through one fused map per step, ``cb.increment(x, dw, dt, h)``,
 which returns the nonlinear increment b(x) dt + sigma(x) dW and, along a
 tangent h, its linearization.
@@ -23,8 +24,6 @@ import numpy as np
 from .noise import NoiseStream
 from .spectral import DomainError
 
-SCHEMES = ("exponential_euler", "euler_maruyama")
-
 # floats per noise chunk (8 MB): most tiles draw each path's horizon in one call,
 # and larger chunks fragmented the heap; _MIN_TILE_ROWS paths per tile keep long
 # horizons from stepping a few rows per Python step
@@ -38,7 +37,7 @@ class SimulationError(RuntimeError):
 
 @dataclass(frozen=True)
 class SchemeConfig:
-    """Step size, horizon, and scheme choice.
+    """Step size and horizon.
 
     The step count is t_end/dt rounded to the nearest integer (at least one
     step for t_end > 0); ``realized_dt`` is the dt actually used.
@@ -46,15 +45,12 @@ class SchemeConfig:
 
     dt: float
     t_end: float
-    scheme: str = "exponential_euler"
 
     def __post_init__(self):
         if not 0 < self.dt < np.inf:
             raise ValueError("dt must be positive and finite")
         if not 0 <= self.t_end < np.inf:
             raise ValueError("t_end must be non-negative and finite")
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}; choose from {SCHEMES}")
 
     @property
     def n_steps(self) -> int:
@@ -116,21 +112,6 @@ def _parts(total: int, most: int) -> list[tuple[int, int]]:
     return [(i * total // count, (i + 1) * total // count) for i in range(count)]
 
 
-def _linear_update(lambdas: np.ndarray, dt: float, scheme: str) -> Callable:
-    """(state, increment) -> state at the next step; the linear part of the scheme.
-
-    Explicit Euler-Maruyama is refused past its stability limit lambda_max dt <= 2.
-    """
-    if scheme == "exponential_euler":
-        decay = np.exp(-lambdas * dt)
-        return lambda x, dx: decay * (x + dx)
-    lam_dt = float(lambdas.max()) * dt
-    if lam_dt > 2.0:
-        raise ValueError(f"euler_maruyama is unstable at lambda_max * dt = {lam_dt:.3g} > 2; "
-                         "lower dt or use exponential_euler")
-    return lambda x, dx: x + (-lambdas * x) * dt + dx
-
-
 def simulate_batch(x0: np.ndarray, path_ids, cfg: SchemeConfig, lambdas: np.ndarray,
                    cb: CallbackBundle, noise: NoiseStream, *,
                    y0: np.ndarray | None = None, v: np.ndarray | None = None,
@@ -158,7 +139,7 @@ def simulate_batch(x0: np.ndarray, path_ids, cfg: SchemeConfig, lambdas: np.ndar
     K = cfg.n_steps
     dt = cfg.realized_dt
     sqdt = np.sqrt(dt)
-    update = _linear_update(lambdas, dt, cfg.scheme) if K else None
+    decay = np.exp(-lambdas * dt)
     checkpoint_steps = set(int(s) for s in checkpoint_steps)
     snaps = {k: x.copy() if k == 0 else np.empty((B, n))
              for k in sorted(checkpoint_steps) if 0 <= k <= K}
@@ -178,10 +159,10 @@ def simulate_batch(x0: np.ndarray, path_ids, cfg: SchemeConfig, lambdas: np.ndar
                 dw = z[:, k - k0 - 1]
                 dx, dft = cb.increment(xt, dw, dt, ft)
                 if ft is not None:
-                    ft = update(ft, dft)
+                    ft = decay * (ft + dft)
                 if yt is not None:
-                    yt = update(yt, cb.increment(yt, dw, dt)[0])
-                xt = update(xt, dx)
+                    yt = decay * (yt + cb.increment(yt, dw, dt)[0])
+                xt = decay * (xt + dx)
                 if k in snaps:
                     snaps[k][r0:r1] = xt
             del z, dw

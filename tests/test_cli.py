@@ -291,9 +291,10 @@ def test_unknown_preset():
     (["constants", "--model", "preset:ou8"], dict(t="0.1 nan"), "t = 'nan'"),
     (["constants", "--model", "preset:ou8"], dict(t="inf"), "t = 'inf'"),
     (["check", "gradient", "--model", "preset:ou8"], dict(t="inf", m="10"), "t = 'inf'"),
-    (["check", "gradient", "--model", "preset:ou8"], dict(k="inf", m="10"), "k = 'inf'"),
-    (["check", "gradient", "--model", "preset:ou8"], dict(k="nan", m="10"), "k = 'nan'"),
-    (["check", "gradient", "--model", "preset:ou8"], dict(k="-1", m="10"), "k must"),
+    (["check", "gradient", "--model", "preset:ou8"], dict(k="inf", m="10"), "'k'"),
+    (["check", "gradient", "--model", "preset:ou8"], dict(k="nan", m="10"), "'k'"),
+    (["check", "gradient", "--model", "preset:ou8"], dict(k="-1", m="10"), "'k'"),
+    (["check", "gradient", "--model", "preset:ou8"], dict(k="4.0", m="10"), "'k'"),
     (["check", "gradient", "--model", "preset:ou8"], dict(x="nan*ones", m="10"),
      "x = 'nan'"),
     (["check", "gradient", "--model", "preset:ou8"], dict(v="1 0 0 0 0 0 0 -inf", m="10"),
@@ -314,20 +315,24 @@ def test_unknown_preset():
     (["dump-trajectories", "--model", "preset:ou8"], dict(m="0"), "m = '0'"),
     (["dump-trajectories", "--model", "preset:ou8"], dict(m="-2"), "m = '-2'"),
     (["check", "variance", "--model", "preset:ou8"], dict(v="zeros", m="10"), "|v|^2 = 0"),
-    # lambda_16 dt ~ 6.4e3 is far past explicit Euler's stability limit of 2
     (["check", "gradient", "--model", "preset:rd16"],
-     dict(x="zeros", scheme="euler_maruyama", dt="1e-3", m="20", t="0.05"), "euler_maruyama"),
+     dict(x="zeros", scheme="euler_maruyama", dt="1e-3", m="20", t="0.05"), "'scheme'"),
+    (["check", "gradient", "--model", "preset:ou8"], dict(threads="0", m="10"), "threads"),
+    (["check", "gradient", "--model", "preset:ou8"], dict(threads="-5", m="10"), "threads"),
+    (["check", "gradient", "--model", "preset:ou8", "--threads", "-2"], dict(m="10"),
+     "threads"),
 ], ids=["constants-negative-t", "check-unknown-functional", "check-e9-on-ou8",
         "check-e0", "invariant-eps-above-1", "dump-negative-dt", "converge-unknown-scheme",
         "check-empty-t", "converge-empty-t", "check-negative-batch-size",
         "invariant-negative-batch-size", "check-zero-batch-size", "misspelled-batch-size",
         "misspelled-m", "constants-nan-t", "constants-inf-t", "check-inf-t", "check-inf-k",
-        "check-nan-k", "check-negative-k", "check-nan-scale", "check-inf-entry",
+        "check-nan-k", "check-negative-k", "check-k-key-removed", "check-nan-scale", "check-inf-entry",
         "dump-nan-dt", "dump-inf-dt", "invariant-inf-t-end", "invariant-nan-eps0",
         "check-float-m", "check-float-seed", "converge-word-in-n-list",
         "converge-negative-level", "converge-zero-bign",
         "invariant-zero-checkpoints", "invariant-negative-checkpoints", "dump-zero-m",
-        "dump-negative-m", "check-zero-v", "gradient-unstable-scheme"])
+        "dump-negative-m", "check-zero-v", "scheme-key-removed",
+        "check-zero-threads", "check-negative-threads", "check-negative-threads-flag"])
 def test_bad_config_exits_2(argv, cfg, named, tmp_path, capsys):
     out = tmp_path / "out"
     assert main(argv + ["--config", write_experiment(tmp_path, **cfg), "--out", str(out)]) == 2

@@ -221,6 +221,11 @@ class TestReproducibility:
                 for th in (1, 4)]
         assert reps[0] == reps[1]
 
+    @pytest.mark.parametrize("threads", [0, -5])
+    def test_threads_below_one_refused(self, threads):
+        with pytest.raises(ValueError, match="threads"):
+            ou_mc([1.0], threads=threads)
+
     def test_pooled_blocks_thread_invariance(self, rd16_profile, rd16, rd16_callbacks):
         # batch_size below M, so at threads 2 the blocks run on the pool: a
         # flow check (gradient) and a pair check (log-Harnack)

@@ -5,6 +5,10 @@
     python3 tools/report_matrix.py --src src --out matrix_new
     diff -r matrix_old matrix_new
 
+After writing every case, the tool compares the stdout of each ``*_t1``/``*_t2``
+pair and exits 1, naming each pair that differs: a report must not depend on
+``--threads``.
+
 Every command runs on ``preset:rd16`` and ``preset:ou8`` at ``--threads`` 1
 and 2, once with a small experiment and once started at ``x = 1e160*ones``
 (with f = coord1, so per-path values are finite but huge).  ``converge`` and
@@ -15,10 +19,10 @@ for several tiles of several noise chunks.  Every command also runs at
 ``--threads 1`` on two model files: an OU reference and a 2-d reaction-diffusion model (whose
 kernel integral tail is above tolerance too).  A few ``ou8`` cases run edge inputs: a
 direction ``v = 1e200*e1`` whose squared derivative overflows, ``checkpoints = 0``, ``m = 0``
-and ``m = 1e3``; ``check gradient`` runs under ``euler_maruyama`` at dt = 1e-3 on ``rd16``
-(past the scheme's stability limit) and on ``ou8`` (within it), and ``constants`` reads a
-model file with ``[galerkin] n = 1.5``.  Each case gets a directory holding ``stdout``,
-``stderr`` and ``exit_code``.
+and ``m = 1e3``; ``check gradient`` runs on ``rd16`` and ``ou8`` with the removed key
+``scheme = euler_maruyama`` and on ``ou8`` with the removed key ``k = 4.0`` (each exits 2
+naming the key), and ``constants`` reads a model file with ``[galerkin] n = 1.5``.  Each
+case gets a directory holding ``stdout``, ``stderr`` and ``exit_code``.
 
 Each case runs in a fresh interpreter with ``PYTHONPATH=SRC`` and, as working
 directory, a scratch directory holding the experiment and model files, so the
@@ -46,12 +50,12 @@ CHUNKS = {"m": "20000", "batch_size": "20000", "t_end": "0.2", "dt": "1e-3",
 # edge inputs, each run by the commands listed in EDGE_CASES
 EDGES = {"bigv": dict(SMALL, v="1e200*e1"), "nocheckpoints": dict(SMALL, checkpoints="0"),
          "nopaths": dict(SMALL, m="0"), "floatm": dict(SMALL, m="1e3"),
-         "em": dict(SMALL, scheme="euler_maruyama", dt="1e-3")}
+         "em": dict(SMALL, scheme="euler_maruyama", dt="1e-3"), "slackkey": dict(SMALL, k="4.0")}
 EDGE_CASES = ((["check", "gradient"], "ou8", "bigv"), (["check", "variance"], "ou8", "bigv"),
               (["invariant"], "ou8", "nocheckpoints"),
               (["dump-trajectories"], "ou8", "nopaths"),
               (["check", "gradient"], "ou8", "floatm"), (["check", "gradient"], "rd16", "em"),
-              (["check", "gradient"], "ou8", "em"))
+              (["check", "gradient"], "ou8", "em"), (["check", "gradient"], "ou8", "slackkey"))
 
 SLOW_TAIL_MODEL = """[model]
 kind = reaction_diffusion
@@ -151,6 +155,7 @@ def main(argv=None) -> int:
     src = str(Path(args.src).resolve())
     out = Path(args.out)
     env = dict(os.environ, PYTHONPATH=src)
+    printed = {}
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         write_inputs(work)
@@ -163,8 +168,13 @@ def main(argv=None) -> int:
             (case / "stdout").write_text(proc.stdout)
             (case / "stderr").write_text(proc.stderr.replace(src, "<src>"))
             (case / "exit_code").write_text(f"{proc.returncode}\n")
+            printed[name] = proc.stdout
             print(f"{proc.returncode} {name}", flush=True)
-    return 0
+    differ = [name for name in printed if name.endswith("_t1")
+              and name[:-1] + "2" in printed and printed[name] != printed[name[:-1] + "2"]]
+    for name in differ:
+        print(f"stdout differs between {name} and {name[:-1]}2", file=sys.stderr)
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
