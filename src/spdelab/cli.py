@@ -229,15 +229,15 @@ def _csv_report(out_path: str | None, header: str, rows):
 def _make_mc(cfg: dict, lambdas: np.ndarray, callbacks) -> MonteCarlo:
     noise = NoiseStream(seed=_whole(cfg["seed"], "seed"), width=lambdas.size)
     return MonteCarlo(lambdas, callbacks, noise, dt=_number(cfg["dt"], "dt"),
-                      threads=_whole(cfg["threads"], "threads", 1),
-                      batch_size=_whole(cfg["batch_size"], "batch_size"))
+                      threads=cfg["threads"], batch_size=cfg["batch_size"])
 
 
 # -- commands --------------------------------------------------------------------
 #
 # Each command takes the loaded model, the experiment config (with --seed and
-# --threads already applied) and the parsed flags, and returns an exit code;
-# ``main`` turns the errors they raise into exit codes 2 and 3.
+# --threads already applied, and ``threads`` and ``batch_size`` already read as
+# integers) and the parsed flags, and returns an exit code; ``main`` turns the
+# errors they raise into exit codes 2 and 3.
 
 def cmd_validate(model: Model, cfg: dict, args) -> int:
     profile = model.profile()
@@ -443,6 +443,9 @@ def main(argv=None) -> int:
         for key in ("seed", "threads"):
             if getattr(args, key) is not None:
                 cfg[key] = str(getattr(args, key))
+        # read for every command, so a bad value fails even where nothing samples
+        for key in ("threads", "batch_size"):
+            cfg[key] = _whole(cfg[key], key, 1)
         return args.run(model, cfg, args)
     except ValueError as e:  # ConfigError, DomainError and KernelError included
         print(f"configuration error: {e}", file=sys.stderr)

@@ -321,6 +321,14 @@ def test_unknown_preset():
     (["check", "gradient", "--model", "preset:ou8"], dict(threads="-5", m="10"), "threads"),
     (["check", "gradient", "--model", "preset:ou8", "--threads", "-2"], dict(m="10"),
      "threads"),
+    (["validate", "--model", "preset:ou8"], dict(threads="0"), "threads"),
+    (["constants", "--model", "preset:ou8"], dict(threads="0"), "threads"),
+    (["dump-trajectories", "--model", "preset:ou8"], dict(threads="0", m="1"), "threads"),
+    (["validate", "--model", "preset:ou8"], dict(batch_size="-3"), "batch_size"),
+    (["constants", "--model", "preset:ou8"], dict(batch_size="-3"), "batch_size"),
+    (["dump-trajectories", "--model", "preset:ou8"], dict(batch_size="-3", m="1"),
+     "batch_size"),
+    (["dump-field", "--model", "preset:rd16"], dict(batch_size="-3"), "batch_size"),
 ], ids=["constants-negative-t", "check-unknown-functional", "check-e9-on-ou8",
         "check-e0", "invariant-eps-above-1", "dump-negative-dt", "converge-unknown-scheme",
         "check-empty-t", "converge-empty-t", "check-negative-batch-size",
@@ -332,7 +340,10 @@ def test_unknown_preset():
         "converge-negative-level", "converge-zero-bign",
         "invariant-zero-checkpoints", "invariant-negative-checkpoints", "dump-zero-m",
         "dump-negative-m", "check-zero-v", "scheme-key-removed",
-        "check-zero-threads", "check-negative-threads", "check-negative-threads-flag"])
+        "check-zero-threads", "check-negative-threads", "check-negative-threads-flag",
+        "validate-zero-threads", "constants-zero-threads", "dump-zero-threads",
+        "validate-negative-batch-size", "constants-negative-batch-size",
+        "dump-negative-batch-size", "dump-field-negative-batch-size"])
 def test_bad_config_exits_2(argv, cfg, named, tmp_path, capsys):
     out = tmp_path / "out"
     assert main(argv + ["--config", write_experiment(tmp_path, **cfg), "--out", str(out)]) == 2

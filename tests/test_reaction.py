@@ -44,8 +44,40 @@ class TestScalarSpecs:
 
     def test_atan_scaled_derivative_at_huge_values(self):
         # the square overflows past |s| ~ 1e154; the derivative is then 0, silently
-        np.testing.assert_array_equal(ATAN_PSI.deriv([1e160, -1e200, 0.0, 2.0]),
+        np.testing.assert_array_equal(ATAN_PSI.deriv([1e160, -1e200, 0.0, 2.0])[1],
                                       [0.0, 0.0, 0.5, 0.1])
+
+    @pytest.mark.parametrize("spec, value, slope, value_tol, slope_tol", [
+        (ScalarFunctionSpec.affine(2.0, -1.0), lambda s: 2.0 * s - 1.0,
+         lambda s: np.full_like(s, 2.0), 0.0, 0.0),
+        (ATAN_PSI, lambda s: 0.5 * np.arctan(s), lambda s: 0.5 / (1.0 + s**2), 0.0, 0.0),
+        # the half-angle tangent against libm's sin and cos
+        (SIN_PHI, lambda s: 1.0 + 0.1 * np.sin(s), lambda s: 0.1 * np.cos(s),
+         2.0**-52, 2.0**-55),
+    ], ids=["affine", "atan_scaled", "sin_perturbed"])
+    def test_deriv_returns_value_and_slope(self, spec, value, slope, value_tol, slope_tol):
+        def bits(a):
+            return np.asarray(a, float).view(np.uint64)
+
+        rng = np.random.default_rng(3)
+        mags = np.logspace(math.log10(0.3), 300.0, 6001)
+        # +-pi puts tan(s/2) near 1.6e16; inf and nan must come out as libm's
+        s = np.concatenate([rng.choice([-1.0, 1.0], mags.size) * mags,
+                            [math.pi, -math.pi, math.inf, -math.inf, math.nan]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            got_value, got_slope = spec.deriv(s)
+            np.testing.assert_array_equal(bits(got_value), bits(spec.fn(s)))
+            np.testing.assert_allclose(got_value, value(s), rtol=0, atol=value_tol)
+            np.testing.assert_allclose(got_slope, slope(s), rtol=0, atol=slope_tol)
+        # an element's bits do not depend on its place in the array, even in
+        # a SIMD tail: every length from 1 to 17 at every offset matches
+        long = rng.normal(scale=3.0, size=40)
+        whole = [bits(a) for a in spec.deriv(long)]
+        for n in range(1, 18):
+            for start in range(long.size - n + 1):
+                part = spec.deriv(long[start:start + n].copy())
+                for got, ref in zip(part, whole):
+                    np.testing.assert_array_equal(bits(got), ref[start:start + n])
 
     def test_lipschitz_spot_check_catches_lies(self):
         bad = ScalarFunctionSpec.custom(lambda s: 10 * s, lipschitz=1.0, inf_sq=0.0,
@@ -130,6 +162,19 @@ class TestCallbacks:
         dx_only, none = cb.increment(x, dw, dt)
         np.testing.assert_array_equal(dx_only, dx)
         assert none is None
+
+    def test_coefficient_returning_its_input(self, rng):
+        # fn = identity hands the step its own field u: writing over what a
+        # coefficient returns would change u for the other coefficient
+        same = ScalarFunctionSpec.custom(lambda s: s, lipschitz=1.0, inf_sq=0.0,
+                                         sup_sq=math.inf, deriv=np.ones_like,
+                                         growth_sq_slope=1.0, name="same")
+        x, dw, h = rng.normal(size=(3, 5, 8))
+        for hh in (None, h):
+            got = build_callbacks(make_model(same, same)).increment(x, dw, 1e-3, hh)
+            ref = build_callbacks(make_model(IDENT, IDENT)).increment(x, dw, 1e-3, hh)
+            for a, b in zip(got, ref):
+                np.testing.assert_array_equal(a, b)
 
     def test_jacobians_absent_without_derivative(self):
         table = ScalarFunctionSpec.custom(np.abs, lipschitz=1.0, inf_sq=0.0,
