@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -124,28 +125,6 @@ def load_model(spec: str) -> Model:
 
 # -- experiment config -----------------------------------------------------------
 
-_DEFAULTS = {
-    "t": "0.05 0.2", "m": "10000", "dt": "1e-3", "seed": "12345", "threads": "1", "f": "sin1",
-    "x": "zeros", "y": "zeros", "v": "e1", "t_end": "10.0",
-    "checkpoints": "8", "n_list": "4 8 16 32", "bign": "64",
-    "eps0": "1.0", "c0": "2.0", "eps": "0.5", "batch_size": "4096",
-}
-
-
-def load_experiment(path: str | None) -> dict:
-    cfg = dict(_DEFAULTS)
-    if path:
-        cp = _read_ini(path, "config file")
-        if "experiment" in cp:
-            for key, val in cp["experiment"].items():
-                if key not in _DEFAULTS:
-                    raise ConfigError(f"unknown experiment key {key!r}")
-                cfg[key] = val
-    if not cfg["t"].replace(",", " ").split():
-        raise ConfigError("experiment key 't' needs at least one time")
-    return cfg
-
-
 def _number(raw: str, key: str) -> float:
     """A finite number read from an input file; errors name the key."""
     try:
@@ -171,6 +150,43 @@ def _whole(raw: str, key: str, least: int | None = None) -> int:
 
 def _floats(raw: str, key: str) -> list[float]:
     return [_number(v, key) for v in raw.replace(",", " ").split()]
+
+
+def _times(raw: str, key: str) -> list[float]:
+    times = _floats(raw, key)
+    if not times:
+        raise ConfigError(f"experiment key {key!r} needs at least one time")
+    return times
+
+
+_count = functools.partial(_whole, least=1)
+
+# Every experiment key: its default and the reader ``main`` types it with, so a
+# bad value fails whichever command runs.  The vectors x, y and v stay strings
+# (reader None): their length belongs to the command.
+_KEYS = {
+    "t": ("0.05 0.2", _times), "m": ("10000", _count), "dt": ("1e-3", _number),
+    "seed": ("12345", _whole), "threads": ("1", _count),
+    "f": ("sin1", lambda raw, key: functional_by_name(raw)),
+    "x": ("zeros", None), "y": ("zeros", None), "v": ("e1", None),
+    "t_end": ("10.0", _number), "checkpoints": ("8", _count),
+    "n_list": ("4 8 16 32",
+               lambda raw, key: [_count(v, key) for v in raw.replace(",", " ").split()]),
+    "bign": ("64", _count), "eps0": ("1.0", _number), "c0": ("2.0", _number),
+    "eps": ("0.5", _number), "batch_size": ("4096", _count),
+}
+
+
+def load_experiment(path: str | None) -> dict:
+    cfg = {key: default for key, (default, _) in _KEYS.items()}
+    if path:
+        cp = _read_ini(path, "config file")
+        if "experiment" in cp:
+            for key, val in cp["experiment"].items():
+                if key not in _KEYS:
+                    raise ConfigError(f"unknown experiment key {key!r}")
+                cfg[key] = val
+    return cfg
 
 
 def _vector(raw: str, n: int, key: str) -> np.ndarray:
@@ -227,16 +243,16 @@ def _csv_report(out_path: str | None, header: str, rows):
 
 
 def _make_mc(cfg: dict, lambdas: np.ndarray, callbacks) -> MonteCarlo:
-    noise = NoiseStream(seed=_whole(cfg["seed"], "seed"), width=lambdas.size)
-    return MonteCarlo(lambdas, callbacks, noise, dt=_number(cfg["dt"], "dt"),
+    noise = NoiseStream(seed=cfg["seed"], width=lambdas.size)
+    return MonteCarlo(lambdas, callbacks, noise, dt=cfg["dt"],
                       threads=cfg["threads"], batch_size=cfg["batch_size"])
 
 
 # -- commands --------------------------------------------------------------------
 #
 # Each command takes the loaded model, the experiment config (with --seed and
-# --threads already applied, and ``threads`` and ``batch_size`` already read as
-# integers) and the parsed flags, and returns an exit code; ``main`` turns the
+# --threads already applied, and every key but the vectors already typed by its
+# reader) and the parsed flags, and returns an exit code; ``main`` turns the
 # errors they raise into exit codes 2 and 3.
 
 def cmd_validate(model: Model, cfg: dict, args) -> int:
@@ -277,7 +293,7 @@ def cmd_validate(model: Model, cfg: dict, args) -> int:
 def cmd_constants(model: Model, cfg: dict, args) -> int:
     profile = model.profile()
     rows = []
-    for t in _floats(cfg["t"], "t"):
+    for t in cfg["t"]:
         row = {"t": t, "gradient_constant": kernels.gradient_constant(t, profile.t0)}
         if t > 0 and profile.lambda_sigma > 0:
             row["logharnack_constant"] = kernels.logharnack_constant(
@@ -298,13 +314,8 @@ def cmd_constants(model: Model, cfg: dict, args) -> int:
 def cmd_check(model: Model, cfg: dict, args) -> int:
     profile = model.profile()
     mc = _make_mc(cfg, model.lambdas, model.callbacks)
-    n = model.n
-    f = functional_by_name(cfg["f"])
-    x = _vector(cfg["x"], n, "x")
-    y = _vector(cfg["y"], n, "y")
-    v = _vector(cfg["v"], n, "v")
-    t = _floats(cfg["t"], "t")[0]
-    M = _whole(cfg["m"], "m", 1)
+    f, t, M = cfg["f"], cfg["t"][0], cfg["m"]
+    x, y, v = (_vector(cfg[key], model.n, key) for key in ("x", "y", "v"))
     which = args.which
     if which in ("logharnack", "variance") and profile.lambda_sigma <= 0:
         print("assumption failed: uniform_ellipticity", file=sys.stderr)
@@ -327,8 +338,7 @@ def cmd_check(model: Model, cfg: dict, args) -> int:
 
 
 def cmd_converge(model: Model, cfg: dict, args) -> int:
-    n_list = [_whole(v, "n_list", 1) for v in cfg["n_list"].replace(",", " ").split()]
-    N = _whole(cfg["bign"], "bign", 1)
+    N = cfg["bign"]
     if isinstance(model, ReactionDiffusionModel):
         def build(n):
             sub = dataclasses.replace(model, n=n, quad_points=max(model.quad_points, 2 * N))
@@ -343,33 +353,29 @@ def cmd_converge(model: Model, cfg: dict, args) -> int:
 
     mc = _make_mc(cfg, *build(N))
     x0 = _vector(cfg["x"], N, "x")
-    t = _floats(cfg["t"], "t")[0]
-    rows = mc.convergence_study(build, n_list, N, x0, t, _whole(cfg["m"], "m", 1))
+    rows = mc.convergence_study(build, cfg["n_list"], N, x0, cfg["t"][0], cfg["m"])
     _csv_report(args.out, "n,error,stderr", rows)
     return EXIT_PASS
 
 
 def cmd_invariant(model: Model, cfg: dict, args) -> int:
-    t_end = _number(cfg["t_end"], "t_end")
-    n_checks = _whole(cfg["checkpoints"], "checkpoints", 1)
+    t_end, n_checks, M = cfg["t_end"], cfg["checkpoints"], cfg["m"]
     checkpoints = [t_end * (i + 1) / n_checks for i in range(n_checks)] if t_end > 0 else [0.0]
-    M = _whole(cfg["m"], "m", 1)
+    mc = _make_mc(cfg, model.lambdas, model.callbacks)
     out: dict = {"model": args.model.removeprefix("preset:"), "M": M,
-                 "dt": _number(cfg["dt"], "dt"), "seed": _whole(cfg["seed"], "seed")}
+                 "dt": cfg["dt"], "seed": mc.noise.seed}
     if isinstance(model, ReactionDiffusionModel):
-        eps0, C0 = _number(cfg["eps0"], "eps0"), _number(cfg["c0"], "c0")
+        eps0, C0 = cfg["eps0"], cfg["c0"]
         growth_ok = check_growth_condition(model, eps0, C0)
         out["growth_condition"] = {"eps0": eps0, "C0": C0, "holds": growth_ok}
-        eps = _number(cfg["eps"], "eps")
-        finite, value = model.profile().Ksigma.epsilon_integral(eps)
-        out["epsilon_integrability"] = {"eps": eps, "finite": finite, "value": value}
+        finite, value = model.profile().Ksigma.epsilon_integral(cfg["eps"])
+        out["epsilon_integrability"] = {"eps": cfg["eps"], "finite": finite, "value": value}
         if not growth_ok:
             out["verdict"] = "growth-condition-failed"
             _json_report(args.out, out)
             return EXIT_CONFIG
     else:
         out["stationary_tail_sum"] = model.stationary_moment()
-    mc = _make_mc(cfg, model.lambdas, model.callbacks)
     rows = mc.second_moment_curve(_vector(cfg["x"], model.n, "x"), t_end, checkpoints, M)
     out["rows"] = [{"t": t, "moment": m, "stderr": s} for t, m, s in rows]
     out["verdict"] = plateau_verdict(rows)
@@ -378,16 +384,15 @@ def cmd_invariant(model: Model, cfg: dict, args) -> int:
 
 
 def cmd_dump_trajectories(model: Model, cfg: dict, args) -> int:
-    noise = NoiseStream(seed=_whole(cfg["seed"], "seed"), width=model.n)
-    scfg = SchemeConfig(dt=_number(cfg["dt"], "dt"), t_end=_number(cfg["t_end"], "t_end"))
+    noise = NoiseStream(seed=cfg["seed"], width=model.n)
+    scfg = SchemeConfig(dt=cfg["dt"], t_end=cfg["t_end"])
     x0 = _vector(cfg["x"], model.n, "x")
-    M = _whole(cfg["m"], "m", 1)
     cb = model.callbacks
     steps = range(scfg.n_steps + 1)
 
     def rows():
         # each path runs alone, so only one path's snapshots are alive at a time
-        for pid in range(M):
+        for pid in range(cfg["m"]):
             snaps = simulate_batch(x0, [pid], scfg, model.lambdas, cb, noise,
                                    checkpoint_steps=steps)["checkpoints"]
             for k in steps:
@@ -443,9 +448,8 @@ def main(argv=None) -> int:
         for key in ("seed", "threads"):
             if getattr(args, key) is not None:
                 cfg[key] = str(getattr(args, key))
-        # read for every command, so a bad value fails even where nothing samples
-        for key in ("threads", "batch_size"):
-            cfg[key] = _whole(cfg[key], key, 1)
+        cfg = {key: read(cfg[key], key) if read else cfg[key]
+               for key, (_, read) in _KEYS.items()}
         return args.run(model, cfg, args)
     except ValueError as e:  # ConfigError, DomainError and KernelError included
         print(f"configuration error: {e}", file=sys.stderr)

@@ -1,8 +1,8 @@
-"""Monte Carlo estimation of semigroup quantities and inequality checks.
+"""Monte Carlo checks of the semigroup inequalities, moment curves and Galerkin gaps.
 
-Estimates P_t f, directional derivatives of P_t f (via the pathwise
-derivative flow or coupled finite differences), and variances, then verifies
-the gradient / log-Harnack / variance / Poincare bounds statistically: an
+Verifies the gradient / log-Harnack / variance / Poincare bounds and the
+derivative-flow bound statistically, from sampled values of f(X_t), of the
+pathwise derivative <grad f(X_t), J_t v> and of the flow itself: an
 inequality "passes" if
 
     lhs_hat - SLACK * lhs_se <= rhs_hat + SLACK * rhs_se
@@ -207,29 +207,6 @@ class MonteCarlo:
         partials = self._map_blocks(worker, blocks)   # in ascending block order
         with np.errstate(over="ignore", invalid="ignore"):
             return {name: _merged_stats([p[name] for p in partials]) for name in evaluators}
-
-    # -- expectations ----------------------------------------------------------
-
-    def expect(self, f: Functional, x0, t: float, M: int) -> tuple[float, float]:
-        """(sample mean, standard error) of f(X_t) over M independent paths."""
-        st = self._sample(x0, t, M, {"f": lambda r: f.eval(r["x"])})["f"]
-        return st.mean, st.se
-
-    def grad_via_flow(self, f: Functional, x0, v, t: float, M: int):
-        """Estimate of the directional derivative d/d eps P_t f(x + eps v)."""
-        st = self._sample(x0, t, M, {"pair": _pairing(f)}, v=v)["pair"]
-        return st.mean, st.se
-
-    def grad_via_fd(self, f: Functional, x0, v, eps: float, t: float, M: int):
-        """Coupled finite-difference derivative (f(X^{x+eps v}) - f(X^x))/eps."""
-        if eps <= 0:
-            raise ValueError("eps must be positive")
-        x0 = np.asarray(x0, dtype=float)
-        y0 = x0 + eps * np.asarray(v, dtype=float)
-        st = self._sample(x0, t, M, {
-            "fd": lambda r: (f.eval(r["y"]) - f.eval(r["x"])) / eps,
-        }, y0=y0)["fd"]
-        return st.mean, st.se
 
     # -- inequality checks -----------------------------------------------------
 

@@ -1,7 +1,8 @@
 """Eigenstructure of -(-Laplacian)^alpha with Dirichlet boundary on rectangles.
 
-Everything here is exact: eigenvalues and eigenfunctions on a d-dimensional
-rectangle have closed forms, and the diagonal semigroup acts mode by mode.
+Everything here is exact: eigenvalues on a d-dimensional rectangle have a closed
+form, and the diagonal semigroup acts mode by mode.  The eigenfunctions exist
+only as the sine table of ``reaction._SineTransform``, on the quadrature grid.
 """
 from __future__ import annotations
 
@@ -38,14 +39,6 @@ class RectDomain:
     def lengths(self) -> np.ndarray:
         return np.array([b - a for a, b in self.sides])
 
-    def contains(self, xi) -> bool:
-        xi = np.atleast_1d(np.asarray(xi, dtype=float))
-        if xi.shape[-1] != self.d:
-            raise DomainError(f"point has {xi.shape[-1]} coordinates, domain is {self.d}-d")
-        lo = np.array([a for a, _ in self.sides])
-        hi = np.array([b for _, b in self.sides])
-        return bool(np.all(xi >= lo) and np.all(xi <= hi))
-
 
 def unit_interval() -> RectDomain:
     return RectDomain(sides=((0.0, 1.0),))
@@ -67,24 +60,6 @@ def eigenvalue(domain: RectDomain, alpha: float, m) -> float:
     base = np.sum((m * np.pi / domain.lengths) ** 2, axis=-1)
     out = base**alpha
     return float(out) if out.ndim == 0 else out
-
-
-def eigenfunction_eval(domain: RectDomain, m, xi) -> float:
-    """Evaluate the L2-normalized Dirichlet eigenfunction e_m at a point.
-
-    e_m(xi) = prod_i sqrt(2/L_i) sin(m_i pi (xi_i - a_i)/L_i); vanishes on
-    the boundary.
-    """
-    m = np.atleast_1d(np.asarray(m, dtype=np.int64))
-    if np.any(m < 1):
-        raise DomainError("multi-index entries must be >= 1")
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    if not domain.contains(xi):
-        raise DomainError(f"point {xi} outside domain")
-    a = np.array([s[0] for s in domain.sides])
-    L = domain.lengths
-    vals = np.sqrt(2.0 / L) * np.sin(m * np.pi * (xi - a) / L)
-    return float(np.prod(vals))
 
 
 def _enumerate_sorted_modes(domain: RectDomain, alpha: float, n: int):
@@ -112,29 +87,13 @@ def _enumerate_sorted_modes(domain: RectDomain, alpha: float, n: int):
 
 @dataclass(frozen=True)
 class EigenSpectrum:
-    """Truncated spectrum: the first n modes in the canonical ordering.
-
-    ``synthesize`` fills in the multi-index of every retained mode; built from
-    a bare eigenvalue list, ``modes`` is None.  The OU presets do not use this
-    class: they carry a plain eigenvalue array.
+    """Truncated spectrum: the first n modes in the canonical ordering, with the
+    multi-index of every retained mode.  The OU presets do not use this class:
+    they carry a plain eigenvalue array.
     """
 
     lambdas: np.ndarray
-    modes: np.ndarray | None = None
-
-    def __post_init__(self):
-        lam = np.asarray(self.lambdas, dtype=float)
-        if lam.ndim != 1 or lam.size == 0:
-            raise DomainError("lambdas must be a non-empty 1-d array")
-        if np.any(lam <= 0):
-            raise DomainError("retained eigenvalues must be positive")
-        if np.any(np.diff(lam) < 0):
-            raise DomainError("lambdas must be sorted non-decreasing")
-        object.__setattr__(self, "lambdas", lam)
-
-    @property
-    def n(self) -> int:
-        return self.lambdas.size
+    modes: np.ndarray
 
     @classmethod
     def synthesize(cls, domain: RectDomain, alpha: float, n: int) -> "EigenSpectrum":

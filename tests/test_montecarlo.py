@@ -24,30 +24,42 @@ def rd_mc(rd16, rd16_callbacks, seed=100, threads=1, dt=2e-3):
                       NoiseStream(seed=seed, width=16), dt=dt, threads=threads)
 
 
+def coupled_fd(mc, f, x0, v, eps, t, M):
+    """Coupled finite difference (f(X^{x+eps v}_t) - f(X^x_t))/eps: a reference for the flow."""
+    x0 = np.asarray(x0, dtype=float)
+    y0 = x0 + eps * np.asarray(v, dtype=float)
+    return mc._sample(x0, t, M, {
+        "fd": lambda r: (f.eval(r["y"]) - f.eval(r["x"])) / eps,
+    }, y0=y0)["fd"]
+
+
 class TestExpect:
     def test_time_zero(self):
         mc = ou_mc([1.0, 2.0])
         f = coordinate(0)
         x = np.array([0.4, -0.2])
-        assert mc.expect(f, x, 0.0, 100) == (float(f.eval(x[None])[0]), 0.0)
+        st = mc._sample(x, 0.0, 100, {"f": lambda r: f.eval(r["x"])})["f"]
+        assert (st.mean, st.se) == (float(f.eval(x[None])[0]), 0.0)
 
     def test_constant_functional(self):
         mc = ou_mc([1.0, 2.0])
-        mean, se = mc.expect(constant(1.0), np.zeros(2), 0.1, 500)
-        assert mean == 1.0 and se == 0.0
+        f = constant(1.0)
+        st = mc._sample(np.zeros(2), 0.1, 500, {"f": lambda r: f.eval(r["x"])})["f"]
+        assert st.mean == 1.0 and st.se == 0.0
 
     def test_ou_mean(self):
         mc = ou_mc([0.8, 2.0])
         x = np.array([1.0, 0.0])
-        mean, se = mc.expect(coordinate(0), x, 0.5, 4000)
-        assert abs(mean - math.exp(-0.8 * 0.5)) < 4 * se
+        f = coordinate(0)
+        st = mc._sample(x, 0.5, 4000, {"f": lambda r: f.eval(r["x"])})["f"]
+        assert abs(st.mean - math.exp(-0.8 * 0.5)) < 4 * st.se
 
     def test_nonfinite_values_reported(self):
         mc = ou_mc([1.0])
         bad = Functional(name="bad", eval=lambda x: np.full(x.shape[0], np.inf),
                          grad=lambda x: np.zeros_like(x), strictly_positive=False)
         with pytest.raises(EstimationError):
-            mc.expect(bad, np.zeros(1), 0.1, 64)
+            mc._sample(np.zeros(1), 0.1, 64, {"f": lambda r: bad.eval(r["x"])})
 
 
 class TestGradients:
@@ -56,28 +68,27 @@ class TestGradients:
         f = sin_coordinate(0)
         x = np.array([0.3, 0.1])
         v = np.array([1.0, 0.0])
-        est, se = mc.grad_via_flow(f, x, v, 0.0, 50)
-        assert est == pytest.approx(float(f.grad(x[None])[0] @ v), rel=1e-12)
-        assert se == 0.0
+        st = mc._sample(x, 0.0, 50, {"pair": montecarlo._pairing(f)}, v=v)["pair"]
+        assert st.mean == pytest.approx(float(f.grad(x[None])[0] @ v), rel=1e-12)
+        assert st.se == 0.0
 
     def test_flow_ou_linear_deterministic(self):
         mc = ou_mc([0.5, 1.5])
-        est, se = mc.grad_via_flow(coordinate(0), np.zeros(2),
-                                   np.array([1.0, 0.0]), 0.4, 200)
-        assert est == pytest.approx(math.exp(-0.5 * 0.4), rel=1e-12)
-        assert se < 1e-14
+        st = mc._sample(np.zeros(2), 0.4, 200, {"pair": montecarlo._pairing(coordinate(0))},
+                        v=np.array([1.0, 0.0]))["pair"]
+        assert st.mean == pytest.approx(math.exp(-0.5 * 0.4), rel=1e-12)
+        assert st.se < 1e-14
 
     def test_fd_linear_independent_of_eps(self):
         mc = ou_mc([1.0])
         for eps in (1e-2, 1e-4):
-            est, _ = mc.grad_via_fd(coordinate(0), np.zeros(1), np.array([1.0]),
-                                    eps, 0.3, 100)
-            assert est == pytest.approx(math.exp(-0.3), rel=1e-10)
+            st = coupled_fd(mc, coordinate(0), np.zeros(1), np.array([1.0]), eps, 0.3, 100)
+            assert st.mean == pytest.approx(math.exp(-0.3), rel=1e-10)
 
     def test_fd_zero_direction(self):
         mc = ou_mc([1.0])
-        est, se = mc.grad_via_fd(coordinate(0), np.zeros(1), np.zeros(1), 1e-3, 0.3, 100)
-        assert est == 0.0 and se == 0.0
+        st = coupled_fd(mc, coordinate(0), np.zeros(1), np.zeros(1), 1e-3, 0.3, 100)
+        assert st.mean == 0.0 and st.se == 0.0
 
     def test_flow_agrees_with_fd(self, rd16, rd16_callbacks):
         mc = rd_mc(rd16, rd16_callbacks)
@@ -85,9 +96,9 @@ class TestGradients:
         x = np.zeros(16)
         v = np.zeros(16)
         v[0] = 1.0
-        gf, se_f = mc.grad_via_flow(f, x, v, 0.05, 2000)
-        gd, se_d = mc.grad_via_fd(f, x, v, 1e-4, 0.05, 2000)
-        assert abs(gf - gd) < 4 * math.hypot(se_f, se_d) + 1e-3
+        gf = mc._sample(x, 0.05, 2000, {"pair": montecarlo._pairing(f)}, v=v)["pair"]
+        gd = coupled_fd(mc, f, x, v, 1e-4, 0.05, 2000)
+        assert abs(gf.mean - gd.mean) < 4 * math.hypot(gf.se, gd.se) + 1e-3
 
 
 class TestChecksDegenerate:

@@ -9,7 +9,7 @@ from spdelab.reaction import (ReactionDiffusionModel, ScalarFunctionSpec,
                               build_callbacks, build_profile,
                               check_growth_condition, exact_Ksigma,
                               spot_check_lipschitz, spot_check_square_bounds)
-from spdelab.spectral import DomainError, RectDomain, eigenfunction_eval, unit_interval
+from spdelab.spectral import DomainError, RectDomain, unit_interval
 
 
 def make_model(psi, phi_spec, n=8, q=32, alpha=2.0, domain=None):
@@ -144,9 +144,12 @@ class TestCallbacks:
         # every grid point: an axis-order error in the table would break this
         model = make_model(ZERO, CONST_PHI, n=n, q=q, domain=RectDomain(sides=sides))
         cb = build_callbacks(model)
+        a = np.array([lo for lo, _ in sides])
+        L = model.domain.lengths
         for k, m in enumerate(model.spectrum.modes):
             grid, vals = cb.field_on_grid(np.eye(n)[k])
-            expect = [eigenfunction_eval(model.domain, m, xi) for xi in grid]
+            # e_m(xi) = prod_i sqrt(2/L_i) sin(m_i pi (xi_i - a_i)/L_i)
+            expect = np.prod(np.sqrt(2.0 / L) * np.sin(m * np.pi * (grid - a) / L), axis=1)
             np.testing.assert_allclose(vals, expect, rtol=0, atol=1e-13)
 
     def test_increment_composes_part_maps(self, rng):

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from spdelab.reaction import _SineTransform
 from spdelab.simulate import ou_exact
-from spdelab.spectral import (DomainError, EigenSpectrum, RectDomain, eigenfunction_eval,
-                              eigenvalue, unit_interval)
+from spdelab.spectral import DomainError, EigenSpectrum, RectDomain, eigenvalue, unit_interval
 
 UNIT = unit_interval()
 SQUARE = RectDomain(sides=((0.0, 1.0), (0.0, 1.0)))
@@ -39,37 +39,33 @@ class TestEigenvalue:
             RectDomain(sides=((1.0, 1.0),))
 
 
+def sine_table(domain, modes, q):
+    """(cell volume, S): the eigenfunctions of ``modes`` sampled on the q^d interior grid."""
+    tf = _SineTransform(domain, np.array(modes), q)
+    return tf.cell, tf.S
+
+
 class TestEigenfunction:
+    # q = 3 puts the midpoint 0.5 of the unit interval at grid column 1
     def test_sine_peak(self):
-        assert eigenfunction_eval(UNIT, (1,), (0.5,)) == pytest.approx(math.sqrt(2), rel=1e-15)
+        _, S = sine_table(UNIT, [(1,)], 3)
+        assert S[0, 1] == pytest.approx(math.sqrt(2), rel=1e-15)
 
     def test_node(self):
-        assert eigenfunction_eval(UNIT, (2,), (0.5,)) == pytest.approx(0.0, abs=1e-15)
-
-    def test_boundary_zero(self):
-        assert eigenfunction_eval(UNIT, (1,), (0.0,)) == pytest.approx(0.0, abs=1e-15)
-
-    def test_outside_domain(self):
-        with pytest.raises(DomainError):
-            eigenfunction_eval(UNIT, (1,), (1.5,))
+        _, S = sine_table(UNIT, [(2,)], 3)
+        assert S[0, 1] == pytest.approx(0.0, abs=1e-15)
 
     @pytest.mark.parametrize("m", [1, 2, 3, 7])
     @pytest.mark.parametrize("domain", [UNIT, RectDomain(sides=((0.0, 2.5),))])
     def test_l2_normalized_1d(self, m, domain):
-        q = 64 * m
-        a, b = domain.sides[0]
-        xs = a + (b - a) * (np.arange(q) + 0.5) / q
-        vals = np.array([eigenfunction_eval(domain, (m,), (x,)) for x in xs])
-        quad = np.sum(vals**2) * (b - a) / q
+        cell, S = sine_table(domain, [(m,)], 64 * m)
+        quad = cell * S[0] @ S[0]
         assert quad == pytest.approx(1.0, abs=1e-6)
 
     def test_l2_normalized_2d(self):
         m = (2, 3)
-        q = 64 * max(m)
-        xs = (np.arange(q) + 0.5) / q
-        gx, gy = np.meshgrid(xs, xs, indexing="ij")
-        vals = 2.0 * np.sin(m[0] * np.pi * gx) * np.sin(m[1] * np.pi * gy)
-        assert np.sum(vals**2) / q**2 == pytest.approx(1.0, abs=1e-6)
+        cell, S = sine_table(SQUARE, [m], 64 * max(m))
+        assert cell * S[0] @ S[0] == pytest.approx(1.0, abs=1e-6)
 
 
 def heat_factor(t, lam):
@@ -123,8 +119,3 @@ class TestSpectrumEnumeration:
         # lexicographically
         assert [tuple(m) for m in sp.modes] == [(1, 1), (1, 2), (2, 1), (2, 2), (1, 3), (3, 1)]
         assert np.all(np.diff(sp.lambdas) >= 0)
-
-    def test_abstract_spectrum(self):
-        sp = EigenSpectrum(lambdas=[0.5, 1.0, 2.0])
-        assert sp.n == 3
-        assert sp.lambdas.tolist() == [0.5, 1.0, 2.0]

@@ -19,7 +19,9 @@ for several tiles of several noise chunks.  Every command also runs at
 ``--threads 1`` on two model files: an OU reference and a 2-d reaction-diffusion model (whose
 kernel integral tail is above tolerance too).  A few ``ou8`` cases run edge inputs: a
 direction ``v = 1e200*e1`` whose squared derivative overflows, ``checkpoints = 0``, ``m = 0``
-and ``m = 1e3``; ``check gradient`` runs on ``rd16`` and ``ou8`` with the removed key
+and ``m = 1e3`` (the last also on ``constants``, which reads every key though it samples
+nothing), and ``seed = -1`` on ``invariant`` (which reports the seed mod 2^64 its noise
+stream uses); ``check gradient`` runs on ``rd16`` and ``ou8`` with the removed key
 ``scheme = euler_maruyama`` and on ``ou8`` with the removed key ``k = 4.0`` (each exits 2
 naming the key), and ``constants`` reads a model file with ``[galerkin] n = 1.5``.  Each
 case gets a directory holding ``stdout``, ``stderr`` and ``exit_code``.
@@ -50,12 +52,14 @@ CHUNKS = {"m": "20000", "batch_size": "20000", "t_end": "0.2", "dt": "1e-3",
 # edge inputs, each run by the commands listed in EDGE_CASES
 EDGES = {"bigv": dict(SMALL, v="1e200*e1"), "nocheckpoints": dict(SMALL, checkpoints="0"),
          "nopaths": dict(SMALL, m="0"), "floatm": dict(SMALL, m="1e3"),
-         "em": dict(SMALL, scheme="euler_maruyama", dt="1e-3"), "slackkey": dict(SMALL, k="4.0")}
+         "em": dict(SMALL, scheme="euler_maruyama", dt="1e-3"), "slackkey": dict(SMALL, k="4.0"),
+         "negseed": dict(SMALL, seed="-1")}
 EDGE_CASES = ((["check", "gradient"], "ou8", "bigv"), (["check", "variance"], "ou8", "bigv"),
               (["invariant"], "ou8", "nocheckpoints"),
               (["dump-trajectories"], "ou8", "nopaths"),
               (["check", "gradient"], "ou8", "floatm"), (["check", "gradient"], "rd16", "em"),
-              (["check", "gradient"], "ou8", "em"), (["check", "gradient"], "ou8", "slackkey"))
+              (["check", "gradient"], "ou8", "em"), (["check", "gradient"], "ou8", "slackkey"),
+              (["constants"], "ou8", "floatm"), (["invariant"], "ou8", "negseed"))
 
 SLOW_TAIL_MODEL = """[model]
 kind = reaction_diffusion
