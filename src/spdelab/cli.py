@@ -36,10 +36,6 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
 
-class ConfigError(ValueError):
-    pass
-
-
 # -- model files ---------------------------------------------------------------
 
 _SCALAR_FORMS = {
@@ -52,12 +48,12 @@ _SCALAR_FORMS = {
 def _parse_scalar_spec(section) -> ScalarFunctionSpec:
     form = section.get("form")
     if form not in _SCALAR_FORMS:
-        raise ConfigError(f"unknown scalar function form {form!r}")
+        raise ValueError(f"unknown scalar function form {form!r}")
     keys, ctor = _SCALAR_FORMS[form]
     try:
         args = [_number(section[k], f"[{section.name}] {k}") for k in keys]
     except KeyError as e:
-        raise ConfigError(f"scalar form {form!r} needs key {e}") from None
+        raise ValueError(f"scalar form {form!r} needs key {e}") from None
     return ctor(*args)
 
 
@@ -77,9 +73,9 @@ def _read_ini(path: str, what: str) -> configparser.ConfigParser:
     try:
         read = cp.read(path)
     except configparser.Error as e:
-        raise ConfigError(f"could not parse {what} {path!r}: {e.message.splitlines()[0]}") from e
+        raise ValueError(f"could not parse {what} {path!r}: {e.message.splitlines()[0]}") from e
     if not read:
-        raise ConfigError(f"could not read {what} {path!r}")
+        raise ValueError(f"could not read {what} {path!r}")
     return cp
 
 
@@ -87,29 +83,29 @@ def load_model(spec: str) -> Model:
     if spec.startswith("preset:"):
         name = spec.split(":", 1)[1]
         if name not in _PRESETS:
-            raise ConfigError(f"unknown preset {name!r}; known: {sorted(_PRESETS)}")
+            raise ValueError(f"unknown preset {name!r}; known: {sorted(_PRESETS)}")
         return _PRESETS[name]()
     cp = _read_ini(spec, "model file")
     if not cp.sections():
-        raise ConfigError(f"could not parse model file {spec!r}")
+        raise ValueError(f"could not parse model file {spec!r}")
     kind = cp.get("model", "kind", fallback="reaction_diffusion")
     if kind == "ou":
         if "ou" not in cp or "lambdas" not in cp["ou"]:
-            raise ConfigError("ou model file needs an [ou] section with lambdas")
+            raise ValueError("ou model file needs an [ou] section with lambdas")
         return presets.OUPreset(_floats(cp["ou"]["lambdas"], "[ou] lambdas"),
                                 _number(cp["ou"].get("phi0", "1.0"), "[ou] phi0"))
     if kind != "reaction_diffusion":
-        raise ConfigError(f"unknown model kind {kind!r}")
+        raise ValueError(f"unknown model kind {kind!r}")
     for sec in ("domain", "alpha", "psi", "phi", "galerkin"):
         if sec not in cp:
-            raise ConfigError(f"model file missing [{sec}] section")
+            raise ValueError(f"model file missing [{sec}] section")
     try:
         sides = []
         for i in range(_whole(cp["domain"].get("d", "1"), "[domain] d", 1)):
             raw = cp["domain"].get(f"side_{i}", "0 1")
             ends = _floats(raw, f"[domain] side_{i}")
             if len(ends) != 2:
-                raise ConfigError(f"domain side_{i} needs two numbers 'a b', got {raw!r}")
+                raise ValueError(f"domain side_{i} needs two numbers 'a b', got {raw!r}")
             sides.append(tuple(ends))
         return ReactionDiffusionModel(
             domain=RectDomain(sides=tuple(sides)),
@@ -120,7 +116,7 @@ def load_model(spec: str) -> Model:
             quad_points=_whole(cp["galerkin"]["quad_points"], "[galerkin] quad_points"),
         )
     except (KeyError, TypeError, ValueError) as e:
-        raise ConfigError(f"invalid model file {spec!r}: {e}") from e
+        raise ValueError(f"invalid model file {spec!r}: {e}") from e
 
 
 # -- experiment config -----------------------------------------------------------
@@ -132,7 +128,7 @@ def _number(raw: str, key: str) -> float:
     except ValueError:
         val = math.nan
     if not math.isfinite(val):
-        raise ConfigError(f"{key} = {raw.strip()!r} is not a finite number")
+        raise ValueError(f"{key} = {raw.strip()!r} is not a finite number")
     return val
 
 
@@ -144,7 +140,7 @@ def _whole(raw: str, key: str, least: int | None = None) -> int:
         val = None
     if val is None or (least is not None and val < least):
         bound = "" if least is None else f" >= {least}"
-        raise ConfigError(f"{key} = {raw.strip()!r} is not an integer{bound}")
+        raise ValueError(f"{key} = {raw.strip()!r} is not an integer{bound}")
     return val
 
 
@@ -155,7 +151,7 @@ def _floats(raw: str, key: str) -> list[float]:
 def _times(raw: str, key: str) -> list[float]:
     times = _floats(raw, key)
     if not times:
-        raise ConfigError(f"experiment key {key!r} needs at least one time")
+        raise ValueError(f"experiment key {key!r} needs at least one time")
     return times
 
 
@@ -184,7 +180,7 @@ def load_experiment(path: str | None) -> dict:
         if "experiment" in cp:
             for key, val in cp["experiment"].items():
                 if key not in _KEYS:
-                    raise ConfigError(f"unknown experiment key {key!r}")
+                    raise ValueError(f"unknown experiment key {key!r}")
                 cfg[key] = val
     return cfg
 
@@ -203,7 +199,7 @@ def _vector(raw: str, n: int, key: str) -> np.ndarray:
     elif raw.startswith("e") and raw[1:].isdigit():
         i = int(raw[1:])
         if not 1 <= i <= n:
-            raise ConfigError(f"unit vector {raw!r} outside e1..e{n}")
+            raise ValueError(f"unit vector {raw!r} outside e1..e{n}")
         vec = np.zeros(n)
         vec[i - 1] = 1.0
     elif raw == "random":
@@ -212,16 +208,20 @@ def _vector(raw: str, n: int, key: str) -> np.ndarray:
     else:
         vec = np.array(_floats(raw, key))
         if vec.size != n:
-            raise ConfigError(f"vector has {vec.size} entries, model has {n} modes")
+            raise ValueError(f"vector has {vec.size} entries, model has {n} modes")
     return scale * vec
 
 
 def _write(out_path: str | None, text: str):
-    if out_path:
+    """Write ``text`` to ``out_path`` (stdout without one); a failed write is a ValueError."""
+    if not out_path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out_path, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as e:
+        raise ValueError(f"could not write output file {out_path!r}: {e.strerror or e}") from e
 
 
 def _json_report(out_path: str | None, report: dict):
@@ -345,7 +345,7 @@ def cmd_converge(model: Model, cfg: dict, args) -> int:
             return sub.lambdas, sub.callbacks
     else:
         if model.n < N:
-            raise ConfigError(f"OU preset has {model.n} modes, need N = {N}")
+            raise ValueError(f"OU preset has {model.n} modes, need N = {N}")
         cb = model.callbacks
 
         def build(n):
@@ -405,7 +405,7 @@ def cmd_dump_trajectories(model: Model, cfg: dict, args) -> int:
 
 def cmd_dump_field(model: Model, cfg: dict, args) -> int:
     if not isinstance(model, ReactionDiffusionModel):
-        raise ConfigError("field dumps need a reaction-diffusion model")
+        raise ValueError("field dumps need a reaction-diffusion model")
     grid, vals = model.callbacks.field_on_grid(_vector(cfg["x"], model.n, "x"))
     d = model.domain.d
     header = ",".join(f"xi_{i}" for i in range(d)) + ",u" if d > 1 else "xi,u(xi)"
@@ -451,7 +451,7 @@ def main(argv=None) -> int:
         cfg = {key: read(cfg[key], key) if read else cfg[key]
                for key, (_, read) in _KEYS.items()}
         return args.run(model, cfg, args)
-    except ValueError as e:  # ConfigError, DomainError and KernelError included
+    except ValueError as e:
         print(f"configuration error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except (SimulationError, EstimationError) as e:

@@ -13,12 +13,10 @@ class Functional:
 
     name: str
     eval: Callable
-    grad: Callable | None = None
+    grad: Callable
     strictly_positive: bool = False
 
     def grad_norm_sq(self, x: np.ndarray) -> np.ndarray:
-        if self.grad is None:
-            raise ValueError(f"functional {self.name!r} has no exact gradient")
         g = self.grad(x)
         return np.sum(g * g, axis=-1)
 

@@ -14,9 +14,10 @@ Kernel forms:
   per-mode weights/rates (exact rectangle data)
 
 Each form (no shared base class) sums ``integral`` term by term in closed
-form, and ``epsilon_integral`` returns (finite?, value or inf).  All series
-are summed with provable integral-comparison tail bounds, so values are
-deterministic to the truncation tolerance ``TRUNCATION_TOL``.
+form, and ``epsilon_integral`` returns (finite?, value or inf).  ``value`` and
+``integral`` take one time and return a float; bad input raises ``ValueError``.
+All series are summed with provable integral-comparison tail bounds, so values
+are deterministic to the truncation tolerance ``TRUNCATION_TOL``.
 """
 from __future__ import annotations
 
@@ -26,31 +27,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import DomainError
-
 LOG6 = math.log(6.0)
 PHI_BUDGET = 1.0 / 6.0
 TRUNCATION_TOL = 1e-12  # largest tail bound a truncated series may leave off
 _MAX_TERMS = 5_000_000  # most terms a power-series integral sums
 
 
-class KernelError(ValueError):
-    """Kernel series diverges or is not integrable for the requested use."""
-
-
-def _per_time(t, at, positive: bool):
-    """``at`` at each time of ``t``: a float for a number, an array for an array."""
-    t_arr = np.asarray(t, dtype=float)
-    if positive and np.any(t_arr <= 0):
-        raise DomainError("series kernels require t > 0 (series may diverge at 0)")
-    if not positive and np.any(t_arr < 0):
-        raise DomainError("time must be non-negative")
-    if t_arr.ndim == 0:
-        return float(at(float(t_arr)))
-    out = np.empty(t_arr.shape)
-    for i, ti in np.ndenumerate(t_arr):
-        out[i] = at(ti)
-    return out
+def _per_time(t: float, at, positive: bool) -> float:
+    """``at(t)`` as a float, once the time t is checked."""
+    t = float(t)
+    if positive and t <= 0:
+        raise ValueError("series kernels require t > 0 (series may diverge at 0)")
+    if not positive and t < 0:
+        raise ValueError("time must be non-negative")
+    return float(at(t))
 
 
 def _mode_integral(w: np.ndarray, r: np.ndarray, t: float) -> float:
@@ -66,7 +56,7 @@ class ConstantKernel:
 
     def __post_init__(self):
         if self.c < 0:
-            raise DomainError("Lipschitz constant must be non-negative")
+            raise ValueError("Lipschitz constant must be non-negative")
 
     def value(self, t):
         return _per_time(t, lambda s: self.c**2, positive=False)
@@ -84,7 +74,7 @@ class ConstantKernel:
 
 def _check_eps(eps: float):
     if not 0.0 < eps < 1.0:
-        raise DomainError("eps must lie in (0, 1)")
+        raise ValueError("eps must lie in (0, 1)")
 
 
 def _exp_series_tail(coef: float, k: float, rate: float, p: float, m_from: float) -> float:
@@ -119,7 +109,7 @@ class PowerSeriesKernel:
 
     def __post_init__(self):
         if self.C <= 0 or self.delta <= 0 or self.p <= 0:
-            raise DomainError("series kernel needs C, delta, p > 0")
+            raise ValueError("series kernel needs C, delta, p > 0")
         # the integral's tail past its term cap: warn once, naming the line that built the kernel
         q = self.p - self._k
         tail = self.C / (self.delta * (q - 1.0)) * _MAX_TERMS ** (1.0 - q) if q > 1.0 else 0.0
@@ -147,15 +137,15 @@ class PowerSeriesKernel:
             if tail < TRUNCATION_TOL:
                 return total + 0.5 * tail
             if m0 > 10_000_000:
-                raise KernelError("series did not reach truncation tolerance")
+                raise ValueError("series did not reach truncation tolerance")
 
     def integral(self, t):
         # phi terms are <= C/(delta m^p) (times m for k=1), so the tail past M
         # terms is <= C/(delta (q-1)) M^{1-q}; M is taken where that is below tol
         q = self.p - self._k
         if q <= 1.0:
-            raise KernelError("kernel time-integral series diverges (exponent p too small "
-                              "for this form); kernel is not integrable")
+            raise ValueError("kernel time-integral series diverges (exponent p too small "
+                             "for this form); kernel is not integrable")
         M = (self.C / (self.delta * (q - 1.0) * TRUNCATION_TOL)) ** (1.0 / (q - 1.0))
         m = np.arange(1, int(min(max(M, 64), _MAX_TERMS)) + 2, dtype=float)
         w, rates = self.C * m**self._k, self.delta * m**self.p
@@ -210,9 +200,9 @@ class ModeSeriesKernel:
         w = np.asarray(self.weights, dtype=float)
         r = np.asarray(self.rates, dtype=float)
         if w.shape != r.shape or w.ndim != 1 or w.size == 0:
-            raise DomainError("weights and rates must be matching 1-d arrays")
+            raise ValueError("weights and rates must be matching 1-d arrays")
         if np.any(w < 0) or np.any(r <= 0):
-            raise DomainError("weights must be >= 0 and rates > 0")
+            raise ValueError("weights must be >= 0 and rates > 0")
         # sort by rate, each weight staying with its rate
         order = np.argsort(r, kind="stable")
         object.__setattr__(self, "weights", w[order])
@@ -247,7 +237,7 @@ class ModeSeriesKernel:
 
     def integral(self, t):
         if self.rate_exponent <= 1.0:
-            raise KernelError("mode-series time integral diverges (rate growth too slow)")
+            raise ValueError("mode-series time integral diverges (rate growth too slow)")
         return _per_time(t, lambda s: _mode_integral(self.weights, self.rates, s), positive=False)
 
     def _integral_tail(self) -> float:
@@ -322,9 +312,9 @@ class RegularityProfile:
         # lambda_sigma = 0 is allowed at build time; only the checks that need
         # uniform ellipticity reject it.
         if self.lambda_sigma < 0:
-            raise DomainError("lower ellipticity bound lambda(sigma) must be >= 0")
+            raise ValueError("lower ellipticity bound lambda(sigma) must be >= 0")
         if self.lambda_bar_sigma is not None and self.lambda_bar_sigma < self.lambda_sigma:
-            raise DomainError("lambda_bar(sigma) must dominate lambda(sigma)")
+            raise ValueError("lambda_bar(sigma) must dominate lambda(sigma)")
         t0, exact = _t0_from_kernels(self.Kb, self.Ksigma)
         object.__setattr__(self, "t0", t0)
         object.__setattr__(self, "t0_exact", exact)
@@ -333,7 +323,7 @@ class RegularityProfile:
 def gradient_constant(t: float, t0: float) -> float:
     """6^{1 + t/t0}; the constant collapses to 6 for t0 = inf."""
     if t < 0:
-        raise DomainError("t must be non-negative")
+        raise ValueError("t must be non-negative")
     if math.isinf(t0):
         return 6.0
     return 6.0 ** (1.0 + t / t0)
@@ -342,9 +332,9 @@ def gradient_constant(t: float, t0: float) -> float:
 def logharnack_constant(t: float, t0: float, lambda_sigma: float) -> float:
     """3 log6 / (lambda(sigma) t0 (1 - 6^{-t/t0})), with the t0 = inf limit 3/(lambda t)."""
     if t <= 0:
-        raise DomainError("the log-Harnack constant needs t > 0")
+        raise ValueError("the log-Harnack constant needs t > 0")
     if lambda_sigma <= 0:
-        raise DomainError("lambda(sigma) must be positive")
+        raise ValueError("lambda(sigma) must be positive")
     if math.isinf(t0):
         return 3.0 / (lambda_sigma * t)
     return 3.0 * LOG6 / (lambda_sigma * t0 * (1.0 - 6.0 ** (-t / t0)))
@@ -353,9 +343,9 @@ def logharnack_constant(t: float, t0: float, lambda_sigma: float) -> float:
 def poincare_constant(t: float, t0: float, lambda_bar: float) -> float:
     """12 lambda_bar t0 (6^{t/t0} - 1)/log6, with the t0 = inf limit 12 lambda_bar t."""
     if t < 0:
-        raise DomainError("t must be non-negative")
+        raise ValueError("t must be non-negative")
     if lambda_bar is None or lambda_bar <= 0:
-        raise KernelError("Poincare constant needs an upper ellipticity bound lambda_bar")
+        raise ValueError("Poincare constant needs an upper ellipticity bound lambda_bar")
     if math.isinf(t0):
         return 12.0 * lambda_bar * t
     return 12.0 * lambda_bar * t0 * (6.0 ** (t / t0) - 1.0) / LOG6
@@ -370,12 +360,12 @@ def logharnack_constant_from_phi(t0: float, t: float, lambda_sigma: float) -> fl
     from scipy import integrate
 
     if t <= 0:
-        raise DomainError("t must be positive")
+        raise ValueError("t must be positive")
     if math.isinf(t0):
         integrand = lambda s: 1.0 / 6.0  # noqa: E731
     else:
         integrand = lambda s: 6.0 ** (-(1.0 + s / t0))  # noqa: E731
     val, err = integrate.quad(integrand, 0.0, t, epsabs=1e-14, epsrel=1e-12, limit=200)
     if not np.isfinite(val) or val <= 0 or err > max(1e-10, 1e-8 * val):
-        raise KernelError("quadrature of the gradient envelope did not converge")
+        raise ValueError("quadrature of the gradient envelope did not converge")
     return 1.0 / (2.0 * lambda_sigma * val)

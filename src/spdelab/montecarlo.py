@@ -50,7 +50,6 @@ class Stats:
     se: float
     var: float
     se_var: float
-    count: int
 
 
 def _moments(vals: np.ndarray) -> np.ndarray:
@@ -81,7 +80,7 @@ def _merged_stats(parts) -> Stats:
     var = m2 / (m - 1) if m > 1 else 0.0
     se = math.sqrt(var / m) if m > 1 else 0.0
     se_var = math.sqrt(max(m4 / m - (m2 / m) ** 2, 0.0) / m) if m > 1 else 0.0
-    return Stats(mean=float(mean), se=se, var=float(var), se_var=se_var, count=m)
+    return Stats(mean=float(mean), se=se, var=float(var), se_var=se_var)
 
 
 def _require_finite(what: str, **fields):

@@ -6,7 +6,7 @@ import numpy as np
 from .kernels import ConstantKernel, RegularityProfile
 from .reaction import ReactionDiffusionModel, ScalarFunctionSpec
 from .simulate import CallbackBundle, diagonal_constant_diffusion
-from .spectral import DomainError, unit_interval
+from .spectral import unit_interval
 
 
 def bounded_reaction_model() -> ReactionDiffusionModel:
@@ -34,9 +34,9 @@ class OUPreset:
         self.phi0 = float(phi0)
         if self.lambdas.ndim != 1 or not self.lambdas.size or not np.all(
                 np.isfinite(self.lambdas) & (self.lambdas > 0)):
-            raise DomainError("ou lambdas must be a non-empty list of finite positive numbers")
+            raise ValueError("ou lambdas must be a non-empty list of finite positive numbers")
         if not np.isfinite(self.phi0 * self.phi0):
-            raise DomainError("ou phi0 must be finite, with a finite square")
+            raise ValueError("ou phi0 must be finite, with a finite square")
 
     @property
     def n(self) -> int:

@@ -17,14 +17,15 @@ using the rectangle's exact eigenvalues and the uniform eigenfunction bound
 The noise enters only through its projected mode coordinates; no pointwise
 sheet sampling happens anywhere.
 
-A flow step needs psi, phi and their slopes on the whole grid, so each
-coefficient's ``deriv`` returns value and slope from one call.  The sine
-coefficient takes both from one half-angle tangent t = tan(freq s / 2):
-sin = 2t/(1+t^2), cos = (1-t^2)/(1+t^2).  For 1 + 0.1 sin s, against
-``np.sin``/``np.cos`` on |s| from 0.3 to 1e300, the value stays within 2^-52
-(2.2e-16) and the slope within 2^-55 (2.8e-17); an infinite or NaN s gives
-NaN.  Its bits, like those of ``arctan``, follow numpy's ``tan`` dispatch:
-reports are byte-identical across thread counts, not across CPU families.
+Every coefficient declares its slope: a flow step needs psi, phi and their
+slopes on the whole grid, so each coefficient's ``deriv`` returns value and
+slope from one call.  The sine coefficient takes both from one half-angle
+tangent t = tan(freq s / 2): sin = 2t/(1+t^2), cos = (1-t^2)/(1+t^2).  For
+1 + 0.1 sin s, against ``np.sin``/``np.cos`` on |s| from 0.3 to 1e300, the
+value stays within 2^-52 (2.2e-16) and the slope within 2^-55 (2.8e-17); an
+infinite or NaN s gives NaN.  Its bits, like those of ``arctan``, follow
+numpy's ``tan`` dispatch: reports are byte-identical across thread counts, not
+across CPU families.
 """
 from __future__ import annotations
 
@@ -36,15 +37,15 @@ from typing import Callable
 import numpy as np
 
 from .kernels import ConstantKernel, ModeSeriesKernel, RegularityProfile
-from .spectral import DomainError, EigenSpectrum, RectDomain
+from .spectral import EigenSpectrum, RectDomain
 
 
 @dataclass(frozen=True)
 class ScalarFunctionSpec:
     """A scalar coefficient function with its declared analytic bounds.
 
-    ``fn(s)`` is g(s); ``deriv(s)``, when present, the pair (g(s), g'(s)) from
-    one call, whose first entry is ``fn(s)`` bit for bit.  ``sin_perturbed``'s
+    ``fn(s)`` is g(s); ``deriv(s)`` (required) the pair (g(s), g'(s)) from one
+    call, whose first entry is ``fn(s)`` bit for bit.  ``sin_perturbed``'s
     pair comes from one half-angle tangent (error bound and bits: module doc).
 
     ``inf_sq``/``sup_sq`` bound the squared function over the reals (they feed
@@ -54,7 +55,7 @@ class ScalarFunctionSpec:
 
     name: str
     fn: Callable
-    deriv: Callable | None
+    deriv: Callable
     lipschitz: float
     inf_sq: float
     sup_sq: float
@@ -99,11 +100,10 @@ class ScalarFunctionSpec:
                    sup_sq=(a * half_pi) ** 2)
 
     @classmethod
-    def custom(cls, fn, lipschitz, inf_sq, sup_sq, deriv=None,
+    def custom(cls, fn, lipschitz, inf_sq, sup_sq, deriv,
                growth_sq_slope=0.0, name="custom") -> "ScalarFunctionSpec":
         """``deriv`` here is g' alone; the spec stores the pair map built from it."""
-        pair = None if deriv is None else (lambda s: (fn(s), deriv(s)))
-        return cls(name=name, fn=fn, deriv=pair, lipschitz=lipschitz,
+        return cls(name=name, fn=fn, deriv=lambda s: (fn(s), deriv(s)), lipschitz=lipschitz,
                    inf_sq=inf_sq, sup_sq=sup_sq, growth_sq_slope=growth_sq_slope)
 
 
@@ -162,11 +162,11 @@ class ReactionDiffusionModel:
 
     def __post_init__(self):
         if self.alpha <= self.domain.d / 2.0:
-            raise DomainError(
+            raise ValueError(
                 f"alpha = {self.alpha} must exceed d/2 = {self.domain.d / 2} "
                 "for the rectangle model to be well-posed")
         if self.quad_points < 2 * self.n:
-            raise DomainError("quad_points must be >= 2n per dimension (dealiasing)")
+            raise ValueError("quad_points must be >= 2n per dimension (dealiasing)")
 
     @cached_property
     def spectrum(self) -> EigenSpectrum:
@@ -199,7 +199,7 @@ class _SineTransform:
 
     def __init__(self, domain: RectDomain, modes: np.ndarray, q: int):
         if np.any(modes > q):
-            raise DomainError("quadrature grid too coarse for the retained modes")
+            raise ValueError("quadrature grid too coarse for the retained modes")
         self.domain = domain
         self.q = q
         j = np.arange(1, q + 1)
@@ -233,21 +233,14 @@ class ReactionCallbacks:
 
     ``increment`` is what the stepper calls.  The per-part maps (``drift``,
     ``diffusion_apply`` and the two jacobians) are ``increment`` with dW or dt
-    set to zero, for inspection and tests.
+    set to zero; the stepper never calls them, and they stay only because the
+    benchmark's tracer (``perfbench/tracer.py``) wraps them by name.
     """
 
     def __init__(self, model: ReactionDiffusionModel):
         self._psi = model.psi
         self._phi = model.phi
         self._tf = _SineTransform(model.domain, model.spectrum.modes, model.quad_points)
-        has_derivs = model.psi.deriv is not None and model.phi.deriv is not None
-        self.drift_jacobian_apply = self._drift_jac if has_derivs else None
-        self.diffusion_jacobian_apply = self._diffusion_jac if has_derivs else None
-
-    @property
-    def has_jacobians(self) -> bool:
-        return (self.drift_jacobian_apply is not None
-                and self.diffusion_jacobian_apply is not None)
 
     def increment(self, x, dw, dt, h=None):
         """(dx, dh): dx = P[psi(u) dt + phi(u) w], dh = P[(psi'(u) dt + phi'(u) w) h(xi)].
@@ -285,16 +278,15 @@ class ReactionCallbacks:
     def diffusion_apply(self, x, dw):
         return self.increment(x, dw, 0.0)[0]
 
-    def _drift_jac(self, x, h):
+    def drift_jacobian_apply(self, x, h):
         return self.increment(x, np.zeros_like(x), 1.0, h)[1]
 
-    def _diffusion_jac(self, x, h, dw):
+    def diffusion_jacobian_apply(self, x, h, dw):
         return self.increment(x, dw, 0.0, h)[1]
 
     def field_on_grid(self, coeffs: np.ndarray):
-        """(grid points (q^d, d), field values) for dumping u(xi)."""
-        vals = self._tf.synthesize(np.atleast_2d(coeffs))
-        return self._tf.grid(), vals[0] if coeffs.ndim == 1 else vals
+        """(grid points (q^d, d), values (q^d,)) of the field of one coefficient vector."""
+        return self._tf.grid(), self._tf.synthesize(coeffs[None])[0]
 
 
 def build_callbacks(model: ReactionDiffusionModel) -> ReactionCallbacks:
@@ -340,7 +332,7 @@ def check_growth_condition(model: ReactionDiffusionModel, eps0: float, C0: float
     slopes of the squared coefficients.
     """
     if eps0 <= 0 or C0 <= 0:
-        raise DomainError("growth condition needs eps0, C0 > 0")
+        raise ValueError("growth condition needs eps0, C0 > 0")
     if model.phi.growth_sq_slope + model.psi.growth_sq_slope > eps0:
         return False
     mags = np.logspace(-3, 3, 400)

@@ -12,7 +12,9 @@ about, and its linear part is stable at any lambda dt.  The derivative flow
 state using the same noise draws and the same exponential factor.  A model
 enters only through one fused map per step, ``cb.increment(x, dw, dt, h)``,
 which returns the nonlinear increment b(x) dt + sigma(x) dW and, along a
-tangent h, its linearization.
+tangent h, its linearization.  Every model is differentiable: a
+``CallbackBundle`` needs a diffusion and both jacobians, and only its drift may
+be missing.
 """
 from __future__ import annotations
 
@@ -22,7 +24,6 @@ from typing import Callable
 import numpy as np
 
 from .noise import NoiseStream
-from .spectral import DomainError
 
 # floats per noise chunk (8 MB): most tiles draw each path's horizon in one call,
 # and larger chunks fragmented the heap; _MIN_TILE_ROWS paths per tile keep long
@@ -71,24 +72,19 @@ class CallbackBundle:
     All callables act on batches: states have shape (B, n) and return (B, n).
     ``diffusion_apply(x, dw)`` are the coefficients of the projected noise
     action sigma(x) dW; the jacobian maps are directional derivatives along a
-    coefficient perturbation h.
+    coefficient perturbation h.  Only ``drift`` may be None (zero), as in the
+    OU reference.
     """
 
+    diffusion_apply: Callable
+    drift_jacobian_apply: Callable
+    diffusion_jacobian_apply: Callable
     drift: Callable | None = None
-    diffusion_apply: Callable | None = None
-    drift_jacobian_apply: Callable | None = None
-    diffusion_jacobian_apply: Callable | None = None
-
-    @property
-    def has_jacobians(self) -> bool:
-        return (self.drift_jacobian_apply is not None
-                and self.diffusion_jacobian_apply is not None)
 
     def increment(self, x, dw, dt, h=None):
         """(dx, dh) of one step: dx = b(x) dt + sigma(x) dw (a missing drift is
-        zero, a missing diffusion the identity); along h,
-        dh = Db(x)h dt + Dsigma(x)h dw, or None when h is None."""
-        dx = self.diffusion_apply(x, dw) if self.diffusion_apply is not None else dw
+        zero); along h, dh = Db(x)h dt + Dsigma(x)h dw, or None when h is None."""
+        dx = self.diffusion_apply(x, dw)
         if self.drift is not None:
             dx = self.drift(x) * dt + dx
         if h is None:
@@ -128,10 +124,6 @@ def simulate_batch(x0: np.ndarray, path_ids, cfg: SchemeConfig, lambdas: np.ndar
     path_ids = np.asarray(path_ids, dtype=np.int64)
     n = lambdas.size
     B = path_ids.size
-    if v is not None and not cb.has_jacobians:
-        raise ValueError(
-            "derivative flow needs drift/diffusion jacobian callbacks; "
-            "use finite differences (coupled pairs) for non-smooth models")
     x = np.broadcast_to(np.asarray(x0, dtype=float), (B, n)).copy()
     y = None if y0 is None else np.broadcast_to(np.asarray(y0, dtype=float), (B, n)).copy()
     flow = None if v is None else np.broadcast_to(np.asarray(v, dtype=float), (B, n)).copy()
@@ -189,7 +181,7 @@ def ou_exact(x0, t: float, lambdas, phi0: float):
     var_i  = phi0^2 (1 - e^{-2 lambda_i t}) / (2 lambda_i)   (phi0^2 t at lambda = 0).
     """
     if t < 0:
-        raise DomainError("t must be non-negative")
+        raise ValueError("t must be non-negative")
     lam = np.asarray(lambdas, dtype=float)
     x0 = np.broadcast_to(np.asarray(x0, dtype=float), lam.shape)
     mean = np.exp(-lam * t) * x0

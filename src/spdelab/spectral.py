@@ -12,10 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 
-class DomainError(ValueError):
-    """Invalid geometric or analytic input (bad domain, index, time, ...)."""
-
-
 @dataclass(frozen=True)
 class RectDomain:
     """Axis-aligned rectangle prod_i [a_i, b_i]."""
@@ -25,10 +21,10 @@ class RectDomain:
     def __post_init__(self):
         sides = tuple((float(a), float(b)) for a, b in self.sides)
         if not sides:
-            raise DomainError("domain needs at least one side")
+            raise ValueError("domain needs at least one side")
         for a, b in sides:
             if not b > a:
-                raise DomainError(f"side ({a}, {b}) has non-positive length")
+                raise ValueError(f"side ({a}, {b}) has non-positive length")
         object.__setattr__(self, "sides", sides)
 
     @property
@@ -44,22 +40,20 @@ def unit_interval() -> RectDomain:
     return RectDomain(sides=((0.0, 1.0),))
 
 
-def eigenvalue(domain: RectDomain, alpha: float, m) -> float:
-    """Eigenvalue of the fractional Dirichlet Laplacian for multi-index m.
+def eigenvalue(domain: RectDomain, alpha: float, m):
+    """Eigenvalue of the fractional Dirichlet Laplacian per multi-index m (last axis).
 
     Returns ( sum_i (m_i pi / (b_i - a_i))^2 )^alpha.  The fractional power
     is the spectral one, applied to the full Dirichlet eigenvalue.
     """
     if alpha <= 0:
-        raise DomainError("alpha must be positive")
+        raise ValueError("alpha must be positive")
     m = np.atleast_1d(np.asarray(m, dtype=np.int64))
     if m.shape[-1] != domain.d:
-        raise DomainError(f"multi-index has {m.shape[-1]} entries, domain is {domain.d}-d")
+        raise ValueError(f"multi-index has {m.shape[-1]} entries, domain is {domain.d}-d")
     if np.any(m < 1):
-        raise DomainError("multi-index entries must be >= 1")
-    base = np.sum((m * np.pi / domain.lengths) ** 2, axis=-1)
-    out = base**alpha
-    return float(out) if out.ndim == 0 else out
+        raise ValueError("multi-index entries must be >= 1")
+    return np.sum((m * np.pi / domain.lengths) ** 2, axis=-1) ** alpha
 
 
 def _enumerate_sorted_modes(domain: RectDomain, alpha: float, n: int):
@@ -98,6 +92,6 @@ class EigenSpectrum:
     @classmethod
     def synthesize(cls, domain: RectDomain, alpha: float, n: int) -> "EigenSpectrum":
         if n < 1:
-            raise DomainError("need at least one mode")
+            raise ValueError("need at least one mode")
         modes, lams = _enumerate_sorted_modes(domain, alpha, n)
         return cls(lambdas=lams, modes=modes)

@@ -52,7 +52,7 @@ def test_criterion_2_t0_oracle(rd16_profile):
         ok &= abs(p.t0 - 1.0 / (6 * (a + b))) <= 1e-9
     t0 = rd16_profile.t0
     ts = np.arange(t0 - 5e-4, t0 + 5e-4, 1e-6)
-    total = rd16_profile.Kb.integral(ts) + rd16_profile.Ksigma.integral(ts)
+    total = np.array([rd16_profile.Kb.integral(t) + rd16_profile.Ksigma.integral(t) for t in ts])
     scan = ts[np.searchsorted(total, 1.0 / 6.0)]
     ok &= abs(t0 - scan) <= 1e-5
     report("criterion 2: critical time oracle",

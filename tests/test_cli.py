@@ -271,6 +271,16 @@ def test_unknown_preset():
     assert main(["validate", "--model", "preset:nope"]) == 2
 
 
+@pytest.mark.parametrize("argv", [["constants", "--model", "preset:ou8"],
+                                  ["dump-field", "--model", "preset:rd16"]], ids=["json", "csv"])
+def test_unwritable_out_exits_2(argv, tmp_path, capsys):
+    out = tmp_path / "missing" / "report"
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: could not write output file {str(out)!r}: ")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("argv, cfg, named", [
     (["constants", "--model", "preset:ou8"], dict(t="-0.1"), ""),
     (["check", "gradient", "--model", "preset:ou8"], dict(f="nosuch", m="10"), ""),

@@ -10,7 +10,6 @@ from spdelab.montecarlo import (EstimationError, MonteCarlo, _merged_stats, _mom
                                 plateau_verdict)
 from spdelab.noise import NoiseStream
 from spdelab.simulate import diagonal_constant_diffusion
-from spdelab.spectral import DomainError
 
 
 def ou_mc(lambdas, phi0=1.0, seed=100, threads=1, dt=1e-3):
@@ -152,9 +151,9 @@ class TestChecksDegenerate:
         monkeypatch.setattr(montecarlo, "simulate_batch", no_simulation)
         mc = ou_mc(np.arange(1, 9) / 2.0)
         x, v = np.zeros(8), np.eye(8)[0]
-        with pytest.raises(DomainError):
+        with pytest.raises(ValueError, match=r"lambda\(sigma\) must be positive"):
             mc.check_log_harnack(constant(2.0), x, x, 0.2, math.inf, 0.0, 200)
-        with pytest.raises(DomainError):
+        with pytest.raises(ValueError, match=r"lambda\(sigma\) must be positive"):
             mc.check_variance_gradient(constant(2.0), x, v, 0.2, math.inf, 0.0, 200)
 
     def test_variance_constant_functional(self, rd16_profile, rd16, rd16_callbacks):
@@ -260,7 +259,6 @@ class TestMoments:
         blocks = np.array_split(dev, 7)
         ref = _merged_stats([_moments(b) for b in blocks])
         st = _merged_stats([_moments(1e5 + b) for b in blocks])
-        assert st.count == ref.count == 100_000
         assert st.mean == pytest.approx(1e5 + ref.mean, rel=1e-15)
         assert st.var == pytest.approx(ref.var, rel=1e-6)
         assert st.se_var == pytest.approx(ref.se_var, rel=1e-5)

@@ -9,7 +9,7 @@ from spdelab.reaction import (ReactionDiffusionModel, ScalarFunctionSpec,
                               build_callbacks, build_profile,
                               check_growth_condition, exact_Ksigma,
                               spot_check_lipschitz, spot_check_square_bounds)
-from spdelab.spectral import DomainError, RectDomain, unit_interval
+from spdelab.spectral import RectDomain, unit_interval
 
 
 def make_model(psi, phi_spec, n=8, q=32, alpha=2.0, domain=None):
@@ -81,45 +81,62 @@ class TestScalarSpecs:
 
     def test_lipschitz_spot_check_catches_lies(self):
         bad = ScalarFunctionSpec.custom(lambda s: 10 * s, lipschitz=1.0, inf_sq=0.0,
-                                        sup_sq=math.inf, growth_sq_slope=100.0,
-                                        name="steep")
+                                        sup_sq=math.inf, deriv=lambda s: np.full_like(s, 10.0),
+                                        growth_sq_slope=100.0, name="steep")
         assert not spot_check_lipschitz(bad)
 
 
 class TestModelValidation:
     def test_alpha_threshold(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ValueError, match=r"alpha = 0\.5 must exceed d/2 = 0\.5"):
             make_model(ZERO, CONST_PHI, alpha=0.5)
 
     def test_dealiasing_floor(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ValueError, match=r"quad_points must be >= 2n per dimension"):
             make_model(ZERO, CONST_PHI, n=8, q=8)
+
+
+def drift(cb, x):
+    """b(x): the step's increment with no noise over unit time."""
+    return cb.increment(x, np.zeros_like(x), 1.0)[0]
+
+
+def diffusion(cb, x, w):
+    """sigma(x) w: the step's increment over zero time."""
+    return cb.increment(x, w, 0.0)[0]
+
+
+# each spec with a bound on |g'''|: 0 for affine, |amp| freq^3 for
+# c0 + amp sin(freq s), 2|a| for a arctan(s)
+TANGENT_SPECS = {"affine": (ScalarFunctionSpec.affine(0.7, -0.2), 0.0),
+                 "sin_perturbed": (ScalarFunctionSpec.sin_perturbed(1.0, 0.3, 2.0), 0.3 * 2.0**3),
+                 "atan_scaled": (ScalarFunctionSpec.atan_scaled(0.5), 2 * 0.5)}
 
 
 class TestCallbacks:
     def test_zero_drift(self, rng):
         cb = build_callbacks(make_model(ZERO, CONST_PHI))
         x = rng.normal(size=(3, 8))
-        np.testing.assert_array_equal(cb.drift(x), np.zeros_like(x))
+        np.testing.assert_array_equal(drift(cb, x), np.zeros_like(x))
 
     def test_identity_drift_exact(self, rng):
         # band-limited state, affine psi: quadrature projection is exact
         cb = build_callbacks(make_model(IDENT, CONST_PHI))
         x = rng.normal(size=(4, 8))
-        np.testing.assert_allclose(cb.drift(x), x, atol=1e-12)
+        np.testing.assert_allclose(drift(cb, x), x, atol=1e-12)
 
     def test_identity_drift_exact_2d(self, rng):
         sq = RectDomain(sides=((0.0, 1.0), (0.0, 2.0)))
         cb = build_callbacks(make_model(IDENT, CONST_PHI, n=6, q=16, alpha=2.0,
                                         domain=sq))
         x = rng.normal(size=(2, 6))
-        np.testing.assert_allclose(cb.drift(x), x, atol=1e-12)
+        np.testing.assert_allclose(drift(cb, x), x, atol=1e-12)
 
     def test_constant_phi_additive_noise(self, rng):
         cb = build_callbacks(make_model(ZERO, CONST_PHI))
         x = rng.normal(size=(3, 8))
         w = rng.normal(size=(3, 8))
-        np.testing.assert_allclose(cb.diffusion_apply(x, w), 0.7 * w, atol=1e-12)
+        np.testing.assert_allclose(diffusion(cb, x, w), 0.7 * w, atol=1e-12)
 
     def test_affine_offset_projects_constant_function(self):
         # psi == 1: drift coefficients approach the sine expansion of the
@@ -130,7 +147,7 @@ class TestCallbacks:
         errs = []
         for q in (64, 256, 1024):
             cb = build_callbacks(make_model(psi1, CONST_PHI, q=q))
-            out = cb.drift(np.zeros((1, 8)))[0]
+            out = drift(cb, np.zeros((1, 8)))[0]
             errs.append(float(np.max(np.abs(out - expect))))
         assert errs[0] > errs[1] > errs[2]
         assert errs[-1] < 2e-3
@@ -157,10 +174,12 @@ class TestCallbacks:
         x, dw, h = rng.normal(size=(3, 5, 8))
         dt = 1e-3
         dx, dh = cb.increment(x, dw, dt, h)
-        np.testing.assert_allclose(dx, cb.drift(x) * dt + cb.diffusion_apply(x, dw),
+        np.testing.assert_allclose(dx, drift(cb, x) * dt + diffusion(cb, x, dw),
                                    rtol=0, atol=1e-14)
+        # the drift tangent is the step along h over unit time without noise,
+        # the diffusion tangent the step along h over zero time
         np.testing.assert_allclose(
-            dh, cb.drift_jacobian_apply(x, h) * dt + cb.diffusion_jacobian_apply(x, h, dw),
+            dh, cb.increment(x, np.zeros_like(x), 1.0, h)[1] * dt + cb.increment(x, dw, 0.0, h)[1],
             rtol=0, atol=1e-14)
         dx_only, none = cb.increment(x, dw, dt)
         np.testing.assert_array_equal(dx_only, dx)
@@ -179,12 +198,30 @@ class TestCallbacks:
             for a, b in zip(got, ref):
                 np.testing.assert_array_equal(a, b)
 
-    def test_jacobians_absent_without_derivative(self):
-        table = ScalarFunctionSpec.custom(np.abs, lipschitz=1.0, inf_sq=0.0,
-                                          sup_sq=math.inf, growth_sq_slope=1.0,
-                                          name="abs")
-        cb = build_callbacks(make_model(table, CONST_PHI))
-        assert not cb.has_jacobians
+    @pytest.mark.parametrize("psi", TANGENT_SPECS)
+    @pytest.mark.parametrize("phi", TANGENT_SPECS)
+    @pytest.mark.parametrize("sides, n, q", [(((0.0, 1.0),), 8, 32),
+                                             (((0.0, 1.0), (0.0, 2.0)), 6, 16)],
+                             ids=["1d", "2d"])
+    def test_tangent_is_the_derivative(self, psi, phi, sides, n, q, rng):
+        (psi, psi3), (phi, phi3) = TANGENT_SPECS[psi], TANGENT_SPECS[phi]
+        model = make_model(psi, phi, n=n, q=q, domain=RectDomain(sides=sides))
+        cb = build_callbacks(model)
+        x, dw, h = rng.normal(size=(3, 4, n))
+        dt, eps = 0.3, 1e-4
+        dh = cb.increment(x, dw, dt, h)[1]
+        central = (cb.increment(x + eps * h, dw, dt)[0]
+                   - cb.increment(x - eps * h, dw, dt)[0]) / (2 * eps)
+        # Taylor: at each grid point the quotient is off by at most
+        # eps^2/6 (|psi'''| dt + |phi'''| |w|) |h|^3.  A field with coefficients c
+        # is at most E |c|_1 anywhere (E = sup |e_k| = prod sqrt(2/L_i)), and
+        # projecting a field bounded by B gives coefficients of at most |D| E B.
+        # Rounding in the two steps, divided by 2 eps, is allowed 2^-42/eps.
+        E = np.sqrt(np.prod(2.0 / model.domain.lengths))
+        w_max, h_max = E * np.abs(np.stack([dw, h])).sum(axis=-1, keepdims=True)
+        tol = (eps**2 / 6 * (psi3 * dt + phi3 * w_max) * h_max**3
+               * np.prod(model.domain.lengths) * E + 2.0**-42 / eps)
+        assert np.all(np.abs(central - dh) <= tol)
 
 
 class TestExactKsigma:
@@ -242,7 +279,7 @@ class TestProfile:
         model = make_model(ATAN_PSI, SIN_PHI)
         prof = build_profile(model)
         ts = np.arange(0.6655, 0.6670, 1e-6)
-        total = prof.Kb.integral(ts) + prof.Ksigma.integral(ts)
+        total = np.array([prof.Kb.integral(t) + prof.Ksigma.integral(t) for t in ts])
         scan = ts[np.searchsorted(total, 1.0 / 6.0)]
         assert abs(prof.t0 - scan) < 1e-5
 

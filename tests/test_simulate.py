@@ -11,11 +11,13 @@ from spdelab.simulate import (CallbackBundle, SchemeConfig, SimulationError,
                               diagonal_constant_diffusion, ou_exact, simulate_batch)
 
 
+ZERO_JACOBIANS = dict(drift_jacobian_apply=lambda x, h: np.zeros_like(h),
+                      diffusion_jacobian_apply=lambda x, h, w: np.zeros_like(h))
+
+
 def zero_callbacks() -> CallbackBundle:
     return CallbackBundle(drift=lambda x: np.zeros_like(x),
-                          diffusion_apply=lambda x, w: np.zeros_like(w),
-                          drift_jacobian_apply=lambda x, h: np.zeros_like(h),
-                          diffusion_jacobian_apply=lambda x, h, w: np.zeros_like(h))
+                          diffusion_apply=lambda x, w: np.zeros_like(w), **ZERO_JACOBIANS)
 
 
 class TestSchemeConfig:
@@ -67,8 +69,7 @@ class TestStep:
 
     def test_nonfinite_state_names_step(self):
         cb = CallbackBundle(drift=lambda x: np.full_like(x, np.nan),
-                            diffusion_apply=lambda x, w: np.zeros_like(w),
-                            drift_jacobian_apply=None, diffusion_jacobian_apply=None)
+                            diffusion_apply=lambda x, w: np.zeros_like(w), **ZERO_JACOBIANS)
         noise = NoiseStream(seed=0, width=1)
         cfg = SchemeConfig(dt=1e-2, t_end=0.1)
         with pytest.raises(SimulationError, match="step"):
@@ -77,7 +78,7 @@ class TestStep:
     def test_nonfinite_coupled_state_names_paths_and_steps(self):
         # x0 = 0 is a fixed point of the model; only y, started at 1, blows up
         cb = CallbackBundle(drift=lambda x: 1e3 * x * x,
-                            diffusion_apply=lambda x, w: x * w)
+                            diffusion_apply=lambda x, w: x * w, **ZERO_JACOBIANS)
         noise = NoiseStream(seed=0, width=1)
         cfg = SchemeConfig(dt=1e-2, t_end=0.5)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -92,7 +93,7 @@ class TestStep:
         monkeypatch.setattr(simulate, "_CHUNK_FLOAT_BUDGET", 2 * 10)
         monkeypatch.setattr(simulate, "_MIN_TILE_ROWS", 2)
         cb = CallbackBundle(drift=lambda x: 1e3 * x * x,
-                            diffusion_apply=lambda x, w: x * w)
+                            diffusion_apply=lambda x, w: x * w, **ZERO_JACOBIANS)
         x0 = np.zeros((5, 1))
         x0[4] = 0.01
         cfg = SchemeConfig(dt=1e-2, t_end=0.5)
@@ -241,14 +242,12 @@ class TestDerivativeFlow:
         f2 = simulate_batch(x0, [4], cfg, lams, rd16_callbacks, noise, v=2 * v)["flow"][0]
         np.testing.assert_array_equal(f2, 2 * f1)
 
-    def test_missing_jacobians(self):
-        cb = CallbackBundle(drift=lambda x: np.zeros_like(x),
-                            diffusion_apply=lambda x, w: w,
-                            drift_jacobian_apply=None, diffusion_jacobian_apply=None)
-        assert not cb.has_jacobians
-        with pytest.raises((SimulationError, ValueError)):
-            simulate_batch(np.zeros(2), [0], SchemeConfig(dt=1e-2, t_end=0.1), np.ones(2), cb,
-                           NoiseStream(seed=0, width=2), v=np.ones(2))
+    def test_ou_tangent_is_zero(self, rng):
+        # constant noise and no drift: the step does not depend on x
+        x, dw, h = rng.normal(size=(3, 4, 8))
+        dx, dh = diagonal_constant_diffusion(0.7).increment(x, dw, 1e-2, h)
+        np.testing.assert_array_equal(dx, 0.7 * dw)
+        np.testing.assert_array_equal(dh, np.zeros_like(h))
 
 
 class TestCoupledPair:

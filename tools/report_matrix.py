@@ -6,8 +6,10 @@
     diff -r matrix_old matrix_new
 
 After writing every case, the tool compares the stdout of each ``*_t1``/``*_t2``
-pair and exits 1, naming each pair that differs: a report must not depend on
-``--threads``.
+pair and names each pair that differs: a report must not depend on
+``--threads``.  It also names each case whose stderr holds a Python traceback:
+every failure must end in an exit code and a one-line message, and an uncaught
+exception exits 1, the code of a failed gate.  Either finding makes it exit 1.
 
 Every command runs on ``preset:rd16`` and ``preset:ou8`` at ``--threads`` 1
 and 2, once with a small experiment and once started at ``x = 1e160*ones``
@@ -23,8 +25,10 @@ and ``m = 1e3`` (the last also on ``constants``, which reads every key though it
 nothing), and ``seed = -1`` on ``invariant`` (which reports the seed mod 2^64 its noise
 stream uses); ``check gradient`` runs on ``rd16`` and ``ou8`` with the removed key
 ``scheme = euler_maruyama`` and on ``ou8`` with the removed key ``k = 4.0`` (each exits 2
-naming the key), and ``constants`` reads a model file with ``[galerkin] n = 1.5``.  Each
-case gets a directory holding ``stdout``, ``stderr`` and ``exit_code``.
+naming the key), and ``constants`` reads a model file with ``[galerkin] n = 1.5``.  One
+``constants`` case on ``ou8`` writes to ``--out missing/report.json``, whose directory does
+not exist (it exits 2).  Each case gets a directory holding ``stdout``, ``stderr`` and
+``exit_code``.
 
 Each case runs in a fresh interpreter with ``PYTHONPATH=SRC`` and, as working
 directory, a scratch directory holding the experiment and model files, so the
@@ -141,6 +145,8 @@ def cases():
         yield (f"{'-'.join(cmd)}_{model}_{cfg}_t1",
                cmd + ["--model", f"preset:{model}", "--threads", "1"], cfg)
     yield "constants_floatn-file_small_t1", ["constants", "--model", "floatn.ini"], "small"
+    yield ("constants_ou8_unwritable-out_t1",
+           ["constants", "--model", "preset:ou8", "--out", "missing/report.json"], "small")
 
 
 def write_inputs(work: Path):
@@ -159,7 +165,7 @@ def main(argv=None) -> int:
     src = str(Path(args.src).resolve())
     out = Path(args.out)
     env = dict(os.environ, PYTHONPATH=src)
-    printed = {}
+    printed, crashed = {}, []
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         write_inputs(work)
@@ -173,12 +179,16 @@ def main(argv=None) -> int:
             (case / "stderr").write_text(proc.stderr.replace(src, "<src>"))
             (case / "exit_code").write_text(f"{proc.returncode}\n")
             printed[name] = proc.stdout
+            if "Traceback (most recent call last)" in proc.stderr:
+                crashed.append(name)
             print(f"{proc.returncode} {name}", flush=True)
     differ = [name for name in printed if name.endswith("_t1")
               and name[:-1] + "2" in printed and printed[name] != printed[name[:-1] + "2"]]
     for name in differ:
         print(f"stdout differs between {name} and {name[:-1]}2", file=sys.stderr)
-    return 1 if differ else 0
+    for name in crashed:
+        print(f"traceback in the stderr of {name}", file=sys.stderr)
+    return 1 if differ or crashed else 0
 
 
 if __name__ == "__main__":
