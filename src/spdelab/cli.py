@@ -17,6 +17,7 @@ import dataclasses
 import functools
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -450,6 +451,8 @@ def main(argv=None) -> int:
                 cfg[key] = str(getattr(args, key))
         cfg = {key: read(cfg[key], key) if read else cfg[key]
                for key, (_, read) in _KEYS.items()}
+        if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
+            _write(args.out, "")  # fails as the report's write would, before any sampling
         return args.run(model, cfg, args)
     except ValueError as e:
         print(f"configuration error: {e}", file=sys.stderr)

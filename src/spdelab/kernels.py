@@ -6,16 +6,16 @@ running integrals phi(t) = int_0^t K(s) ds determine a critical time t0 (the
 largest t with phi_b + phi_sigma <= 1/6), and t0 in turn fixes every constant
 in the gradient, log-Harnack, variance and Poincare bounds.
 
-Kernel forms:
+A profile pairs two kernel forms (no shared base class); ``Kernel`` is their union:
 
 * ``ConstantKernel(c)``          K(t) = c^2            (Lipschitz drift)
-* ``PowerSeriesKernel``          K(t) = C sum_m m^k e^{-delta t m^p}, k in {0,1}
 * ``ModeSeriesKernel``           K(t) = sum_m w_m e^{-r_m t} with explicit
   per-mode weights/rates (exact rectangle data)
 
-Each form (no shared base class) sums ``integral`` term by term in closed
-form, and ``epsilon_integral`` returns (finite?, value or inf).  ``value`` and
-``integral`` take one time and return a float; bad input raises ``ValueError``.
+``PowerSeriesKernel`` (K(t) = C sum_m m^k e^{-delta t m^p}, k in {0,1}) is criterion 7's
+steep-growth reference and has only ``integral`` and ``epsilon_integral``.  ``integral`` sums
+term by term in closed form; ``epsilon_integral`` returns (finite?, value or inf).  ``value``
+and ``integral`` take one time and return a float; bad input raises ``ValueError``.
 All series are summed with provable integral-comparison tail bounds, so values
 are deterministic to the truncation tolerance ``TRUNCATION_TOL``.
 """
@@ -67,28 +67,21 @@ class ConstantKernel:
     def integral_to_inf(self) -> float:
         return 0.0 if self.c == 0 else math.inf
 
-    def epsilon_integral(self, eps: float) -> tuple[bool, float]:
-        _check_eps(eps)
-        return True, self.c**2 / (1.0 - eps)
-
 
 def _check_eps(eps: float):
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
 
 
-def _exp_series_tail(coef: float, k: float, rate: float, p: float, m_from: float) -> float:
-    """Upper bound for sum_{m > m_from} coef * m^k * exp(-rate * m^p).
-
-    Integral comparison: the summand is decreasing in m on the tail, so the
-    sum is bounded by int_{m_from}^inf coef x^k e^{-rate x^p} dx, evaluated
-    through the upper incomplete gamma function.
+def _exp_series_tail(coef: float, rate: float, p: float, m_from: float) -> float:
+    """Upper bound for sum_{m > m_from} coef * exp(-rate * m^p): the summand decreases in m, so
+    the sum is at most int_{m_from}^inf coef e^{-rate x^p} dx, an upper incomplete gamma function.
     """
     from scipy import special
 
     if rate <= 0 or p <= 0:
         return math.inf
-    a = (k + 1.0) / p
+    a = 1.0 / p
     x = rate * m_from**p
     # int = coef / (p * rate^a) * Gamma(a) * Q(a, x)
     return coef / (p * rate**a) * special.gamma(a) * special.gammaincc(a, x)
@@ -121,24 +114,6 @@ class PowerSeriesKernel:
     def _k(self) -> int:
         return 1 if self.mode_factor else 0
 
-    def value(self, t):
-        return _per_time(t, self._value_one, positive=True)
-
-    def _value_one(self, t: float) -> float:
-        total = 0.0
-        m0 = 1
-        block = 256
-        while True:
-            m = np.arange(m0, m0 + block, dtype=float)
-            terms = self.C * m**self._k * np.exp(-self.delta * t * m**self.p)
-            total += float(terms.sum())
-            m0 += block
-            tail = _exp_series_tail(self.C, self._k, self.delta * t, self.p, m0 - 1)
-            if tail < TRUNCATION_TOL:
-                return total + 0.5 * tail
-            if m0 > 10_000_000:
-                raise ValueError("series did not reach truncation tolerance")
-
     def integral(self, t):
         # phi terms are <= C/(delta m^p) (times m for k=1), so the tail past M
         # terms is <= C/(delta (q-1)) M^{1-q}; M is taken where that is below tol
@@ -151,21 +126,11 @@ class PowerSeriesKernel:
         w, rates = self.C * m**self._k, self.delta * m**self.p
         return _per_time(t, lambda s: _mode_integral(w, rates, s), positive=False)
 
-    def integral_to_inf(self) -> float:
-        from scipy import special
-
-        q = self.p - self._k
-        if q <= 1.0:
-            return math.inf
-        # sum C m^k / (delta m^p) = C zeta(p - k) / delta
-        return self.C / self.delta * float(special.zeta(q))
-
     def epsilon_integral(self, eps: float) -> tuple[bool, float]:
         from scipy import special
 
         _check_eps(eps)
-        # term_m ~ C Gamma(1-eps) (delta m^p)^{eps-1} m^k: converges iff
-        # p(1-eps) - k > 1.
+        # term_m ~ C Gamma(1-eps) (delta m^p)^{eps-1} m^k: converges iff p(1-eps) - k > 1
         q = self.p * (1.0 - eps) - self._k
         if q <= 1.0:
             return False, math.inf
@@ -228,7 +193,7 @@ class ModeSeriesKernel:
 
         def at(s):
             head = float(np.sum(self.weights * np.exp(-self.rates * s)))
-            tail = _exp_series_tail(w_env, 0.0, kappa * s, self.rate_exponent, self.weights.size)
+            tail = _exp_series_tail(w_env, kappa * s, self.rate_exponent, self.weights.size)
             if tail > TRUNCATION_TOL:  # at, _per_time, value: name the calling line
                 warnings.warn(f"mode-series tail bound {tail:.2e} above tolerance at t={s}; "
                               "store more modes", stacklevel=4)
@@ -265,7 +230,7 @@ class ModeSeriesKernel:
         return True, float(terms.sum()) + 0.5 * tail
 
 
-Kernel = ConstantKernel | PowerSeriesKernel | ModeSeriesKernel
+Kernel = ConstantKernel | ModeSeriesKernel
 
 T0_HORIZON = 1e9
 _T0_TOL = 1e-12

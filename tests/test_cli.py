@@ -12,6 +12,7 @@ import pytest
 
 import spdelab
 from spdelab.cli import load_model, main
+from spdelab.montecarlo import MonteCarlo
 from spdelab.noise import NoiseStream
 from spdelab.simulate import SchemeConfig, simulate_batch
 
@@ -272,13 +273,20 @@ def test_unknown_preset():
 
 
 @pytest.mark.parametrize("argv", [["constants", "--model", "preset:ou8"],
-                                  ["dump-field", "--model", "preset:rd16"]], ids=["json", "csv"])
-def test_unwritable_out_exits_2(argv, tmp_path, capsys):
+                                  ["dump-field", "--model", "preset:rd16"],
+                                  ["check", "flowbound", "--model", "preset:rd16"]],
+                         ids=["json", "csv", "check"])
+def test_unwritable_out_exits_2(argv, tmp_path, capsys, monkeypatch):
+    # the path is checked before any sampling, and nothing is created
+    def sample(*args, **kwargs):
+        raise AssertionError("sampled before the --out path was checked")
+    monkeypatch.setattr(MonteCarlo, "_sample", sample)
     out = tmp_path / "missing" / "report"
     assert main(argv + ["--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"configuration error: could not write output file {str(out)!r}: ")
-    assert err.count("\n") == 1
+    assert err == (f"configuration error: could not write output file {str(out)!r}: "
+                   "No such file or directory\n")
+    assert not out.parent.exists()
 
 
 @pytest.mark.parametrize("argv, cfg, named", [

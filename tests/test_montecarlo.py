@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from spdelab.functionals import (REGISTRY, Functional, by_name, constant, coordi
 from spdelab.montecarlo import (EstimationError, MonteCarlo, _merged_stats, _moments,
                                 plateau_verdict)
 from spdelab.noise import NoiseStream
+from spdelab.reaction import build_callbacks
 from spdelab.simulate import diagonal_constant_diffusion
 
 
@@ -238,18 +240,21 @@ class TestReproducibility:
 
     def test_pooled_blocks_thread_invariance(self, rd16_profile, rd16, rd16_callbacks):
         # batch_size below M, so at threads 2 the blocks run on the pool: a
-        # flow check (gradient) and a pair check (log-Harnack)
+        # flow check (gradient) and a pair check (log-Harnack); besides rd16's
+        # 64 quadrature points, 33, a row count that is not a multiple of 4
         x, v, y = np.zeros(16), np.eye(16)[0], 0.5 * np.eye(16)[0]
         t0, lam = rd16_profile.t0, rd16_profile.lambda_sigma
-        reps = []
-        for threads in (1, 2):
-            mc = MonteCarlo(rd16.spectrum.lambdas, rd16_callbacks,
-                            NoiseStream(seed=23, width=16), dt=2e-3, threads=threads,
-                            batch_size=100)
-            reps.append([mc.check_gradient_bound(sin_coordinate(0), x, v, 0.02, t0, 400),
-                         mc.check_log_harnack(sin_coordinate(0, shift=2.0), x, y, 0.02,
-                                              t0, lam, 400)])
-        assert [r.to_json() for r in reps[0]] == [r.to_json() for r in reps[1]]
+        odd = dataclasses.replace(rd16, quad_points=33)
+        for callbacks in (rd16_callbacks, build_callbacks(odd)):
+            reps = []
+            for threads in (1, 2):
+                mc = MonteCarlo(rd16.spectrum.lambdas, callbacks,
+                                NoiseStream(seed=23, width=16), dt=2e-3, threads=threads,
+                                batch_size=100)
+                reps.append([mc.check_gradient_bound(sin_coordinate(0), x, v, 0.02, t0, 400),
+                             mc.check_log_harnack(sin_coordinate(0, shift=2.0), x, y, 0.02,
+                                                  t0, lam, 400)])
+            assert [r.to_json() for r in reps[0]] == [r.to_json() for r in reps[1]]
 
 
 class TestMoments:
