@@ -33,14 +33,14 @@ TRUNCATION_TOL = 1e-12  # largest tail bound a truncated series may leave off
 _MAX_TERMS = 5_000_000  # most terms a power-series integral sums
 
 
-def _per_time(t: float, at, positive: bool) -> float:
-    """``at(t)`` as a float, once the time t is checked."""
+def _time(t: float, positive: bool = False) -> float:
+    """The time t as a float, once checked (t > 0 where ``positive``, else t >= 0)."""
     t = float(t)
     if positive and t <= 0:
         raise ValueError("series kernels require t > 0 (series may diverge at 0)")
     if not positive and t < 0:
         raise ValueError("time must be non-negative")
-    return float(at(t))
+    return t
 
 
 def _mode_integral(w: np.ndarray, r: np.ndarray, t: float) -> float:
@@ -59,10 +59,11 @@ class ConstantKernel:
             raise ValueError("Lipschitz constant must be non-negative")
 
     def value(self, t):
-        return _per_time(t, lambda s: self.c**2, positive=False)
+        _time(t)
+        return float(self.c**2)
 
     def integral(self, t):
-        return _per_time(t, lambda s: self.c**2 * s, positive=False)
+        return float(self.c**2 * _time(t))
 
     def integral_to_inf(self) -> float:
         return 0.0 if self.c == 0 else math.inf
@@ -123,8 +124,7 @@ class PowerSeriesKernel:
                              "for this form); kernel is not integrable")
         M = (self.C / (self.delta * (q - 1.0) * TRUNCATION_TOL)) ** (1.0 / (q - 1.0))
         m = np.arange(1, int(min(max(M, 64), _MAX_TERMS)) + 2, dtype=float)
-        w, rates = self.C * m**self._k, self.delta * m**self.p
-        return _per_time(t, lambda s: _mode_integral(w, rates, s), positive=False)
+        return _mode_integral(self.C * m**self._k, self.delta * m**self.p, _time(t))
 
     def epsilon_integral(self, eps: float) -> tuple[bool, float]:
         from scipy import special
@@ -189,21 +189,19 @@ class ModeSeriesKernel:
         return float(np.max(self.weights)), kappa
 
     def value(self, t):
+        t = _time(t, positive=True)
         w_env, kappa = self._tail_env()
-
-        def at(s):
-            head = float(np.sum(self.weights * np.exp(-self.rates * s)))
-            tail = _exp_series_tail(w_env, kappa * s, self.rate_exponent, self.weights.size)
-            if tail > TRUNCATION_TOL:  # at, _per_time, value: name the calling line
-                warnings.warn(f"mode-series tail bound {tail:.2e} above tolerance at t={s}; "
-                              "store more modes", stacklevel=4)
-            return head + 0.5 * tail
-        return _per_time(t, at, positive=True)
+        head = float(np.sum(self.weights * np.exp(-self.rates * t)))
+        tail = _exp_series_tail(w_env, kappa * t, self.rate_exponent, self.weights.size)
+        if tail > TRUNCATION_TOL:  # name the calling line
+            warnings.warn(f"mode-series tail bound {tail:.2e} above tolerance at t={t}; "
+                          "store more modes", stacklevel=2)
+        return float(head + 0.5 * tail)
 
     def integral(self, t):
         if self.rate_exponent <= 1.0:
             raise ValueError("mode-series time integral diverges (rate growth too slow)")
-        return _per_time(t, lambda s: _mode_integral(self.weights, self.rates, s), positive=False)
+        return _mode_integral(self.weights, self.rates, _time(t))
 
     def _integral_tail(self) -> float:
         w_env, kappa = self._tail_env()

@@ -109,13 +109,7 @@ class CheckReport:
     t: float
 
     def to_json(self) -> str:
-        d = asdict(self)
-        for key in ("lhs_hat", "lhs_se", "rhs_hat", "rhs_se", "constant_used", "slack", "dt", "t"):
-            d[key] = float(d[key])
-        d["passed"] = bool(d["passed"])
-        for key in ("M", "n", "seed"):
-            d[key] = int(d[key])
-        return json.dumps(d, sort_keys=True)
+        return json.dumps(asdict(self), sort_keys=True)
 
 
 def _passes(lhs_hat, lhs_se, rhs_hat, rhs_se) -> bool:
@@ -211,11 +205,13 @@ class MonteCarlo:
 
     def _report(self, name, lhs, lhs_se, rhs, rhs_se, const, t, M) -> CheckReport:
         _require_finite(f"{name} check", lhs_hat=lhs, lhs_se=lhs_se, rhs_hat=rhs, rhs_se=rhs_se)
+        # Python scalars only, so ``to_json`` writes the same bytes whatever numpy types came in
+        lhs, lhs_se, rhs, rhs_se, const, t = map(float, (lhs, lhs_se, rhs, rhs_se, const, t))
         return CheckReport(
             inequality=name, lhs_hat=lhs, lhs_se=lhs_se, rhs_hat=rhs, rhs_se=rhs_se,
-            constant_used=const, slack=SLACK, passed=_passes(lhs, lhs_se, rhs, rhs_se),
-            M=M, dt=self._cfg(t).realized_dt if t > 0 else 0.0, n=self.lambdas.size,
-            seed=self.noise.seed, t=t)
+            constant_used=const, slack=SLACK, passed=bool(_passes(lhs, lhs_se, rhs, rhs_se)),
+            M=int(M), dt=float(self._cfg(t).realized_dt) if t > 0 else 0.0,
+            n=self.lambdas.size, seed=self.noise.seed, t=t)
 
     def check_gradient_bound(self, f: Functional, x0, v, t: float, t0: float,
                              M: int) -> CheckReport:
@@ -261,8 +257,6 @@ class MonteCarlo:
     def check_poincare(self, f: Functional, x0, t: float, t0: float,
                        lambda_bar: float, M: int) -> CheckReport:
         """P_t f^2 - (P_t f)^2 <= C(t) P_t |grad f|^2 (needs the upper bound on sigma)."""
-        if lambda_bar is None:
-            raise ValueError("Poincare check needs the upper ellipticity bound lambda_bar")
         const = kernels.poincare_constant(t, t0, lambda_bar)
         st = self._sample(x0, t, M, {
             "f": lambda r: f.eval(r["x"]),

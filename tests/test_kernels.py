@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import spdelab
+from spdelab import presets
 from spdelab.kernels import (ConstantKernel, ModeSeriesKernel,
                              PowerSeriesKernel, RegularityProfile, gradient_constant,
                              logharnack_constant, logharnack_constant_from_phi,
@@ -223,6 +224,26 @@ class TestConstants:
             t = 0.04
             assert gradient_constant(t / a, p2.t0) == pytest.approx(
                 gradient_constant(t, p1.t0), rel=1e-9)
+
+    @pytest.mark.parametrize("t", [0.05, 0.2, 1.0])
+    def test_ou_closed_form_sharpness(self, t):
+        # ou8 has t0 = inf and lambda = lambda_bar = 1.  For f = u_1 and v = e1 every lhs has a
+        # closed form: X_t^1 is Gaussian with mean e^{-lam1 t} x_1 and variance s1, and the
+        # log-Harnack gap's supremum over f is the relative entropy between the laws from 0
+        # and from e1
+        prof = presets.ou_moments_preset().profile()
+        assert prof.t0 == math.inf and prof.lambda_sigma == prof.lambda_bar_sigma == 1.0
+        lam1 = 0.5
+        e = math.exp(-2 * lam1 * t)
+        s1 = (1 - e) / (2 * lam1)
+        lh = logharnack_constant(t, prof.t0, prof.lambda_sigma)
+        ratios = {"gradient": e / gradient_constant(t, prof.t0),
+                  "variance": e / (lh * s1),
+                  "poincare": s1 / poincare_constant(t, prof.t0, prof.lambda_bar_sigma),
+                  "logharnack": lam1 * e / (1 - e) / lh}
+        # each bound holds, and a constant 30 times too small would not
+        for name, ratio in ratios.items():
+            assert 1 / 30 < ratio <= 1, (name, ratio)
 
 
 class TestLogHarnackFromPhi:

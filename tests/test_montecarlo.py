@@ -1,10 +1,11 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
 
-from spdelab import kernels, montecarlo
+from spdelab import kernels, montecarlo, presets
 from spdelab.functionals import (REGISTRY, Functional, by_name, constant, coordinate,
                                  sin_coordinate)
 from spdelab.montecarlo import (EstimationError, MonteCarlo, _merged_stats, _moments,
@@ -232,6 +233,18 @@ class TestReproducibility:
                                 600).to_json()
                 for th in (1, 4)]
         assert reps[0] == reps[1]
+
+    def test_report_json_keeps_its_types(self):
+        # numpy scalars in give the same bytes and the same JSON types as Python ones
+        reps = [ou_mc(presets.ou_moments_preset().lambdas, seed=9)
+                .check_flow_bound(np.zeros(8), np.eye(8)[0], t, math.inf, M).to_json()
+                for t, M in ((np.float64(0.05), np.int64(48)), (0.05, 48))]
+        assert reps[0] == reps[1]
+        rep = json.loads(reps[0])
+        assert type(rep.pop("passed")) is bool
+        assert rep.pop("inequality") == "flow_bound"
+        assert all(type(rep.pop(key)) is int for key in ("M", "n", "seed"))
+        assert all(type(value) is float for value in rep.values())
 
     @pytest.mark.parametrize("threads", [0, -5])
     def test_threads_below_one_refused(self, threads):

@@ -235,6 +235,14 @@ class TestExactKsigma:
         assert k.value(t) == pytest.approx(direct, rel=1e-10)
         assert k.value(t) == pytest.approx(0.01735, abs=5e-5)
 
+    def test_rates_are_the_galerkin_eigenvalues(self, rd16):
+        # K_sigma's first n rates are 2 lambda of the model's own spectrum, bit for bit
+        square = make_model(ZERO, SIN_PHI, n=16, q=32, domain=RectDomain(((0, 1), (0, 1))))
+        with pytest.warns(UserWarning, match="integral tail bound"):
+            square_k = exact_Ksigma(square)
+        for model, k in ((rd16, exact_Ksigma(rd16)), (square, square_k)):
+            np.testing.assert_array_equal(k.rates[:model.n], 2 * model.spectrum.lambdas)
+
     def test_constant_phi_zero_kernel(self):
         k = exact_Ksigma(make_model(ZERO, CONST_PHI))
         assert k.value(0.5) == 0.0
