@@ -364,7 +364,7 @@ def cmd_invariant(model: Model, cfg: dict, args) -> int:
     checkpoints = [t_end * (i + 1) / n_checks for i in range(n_checks)] if t_end > 0 else [0.0]
     mc = _make_mc(cfg, model.lambdas, model.callbacks)
     out: dict = {"model": args.model.removeprefix("preset:"), "M": M,
-                 "dt": cfg["dt"], "seed": mc.noise.seed}
+                 "dt": SchemeConfig(cfg["dt"], t_end).realized_dt, "seed": mc.noise.seed}
     if isinstance(model, ReactionDiffusionModel):
         eps0, C0 = cfg["eps0"], cfg["c0"]
         growth_ok = check_growth_condition(model, eps0, C0)

@@ -32,7 +32,7 @@ import numpy as np
 from . import kernels
 from .functionals import Functional
 from .noise import NoiseStream
-from .simulate import CallbackBundle, SchemeConfig, simulate_batch
+from .simulate import SchemeConfig, simulate_batch
 
 
 SLACK = 4.0
@@ -136,9 +136,9 @@ def _directional_sq(pair: Stats, v) -> tuple[float, float]:
 
 
 class MonteCarlo:
-    """Estimator bundle for one model (spectrum + coefficient callbacks)."""
+    """Estimator bundle for one model (spectrum + model step)."""
 
-    def __init__(self, lambdas, callbacks: CallbackBundle, noise: NoiseStream,
+    def __init__(self, lambdas, callbacks, noise: NoiseStream,
                  dt: float = 1e-3, threads: int = 1, batch_size: int = 2048):
         self.lambdas = np.asarray(lambdas, dtype=float)
         self.callbacks = callbacks

@@ -5,7 +5,7 @@ import numpy as np
 
 from .kernels import ConstantKernel, RegularityProfile
 from .reaction import ReactionDiffusionModel, ScalarFunctionSpec
-from .simulate import CallbackBundle, diagonal_constant_diffusion
+from .simulate import diagonal_constant_diffusion
 from .spectral import unit_interval
 
 
@@ -43,7 +43,8 @@ class OUPreset:
         return self.lambdas.size
 
     @property
-    def callbacks(self) -> CallbackBundle:
+    def callbacks(self):
+        """A fresh OU step for phi0."""
         return diagonal_constant_diffusion(self.phi0)
 
     def profile(self) -> RegularityProfile:

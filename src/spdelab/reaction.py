@@ -3,11 +3,11 @@
 The equation has drift b(u)(xi) = psi(u(xi)) and pointwise-multiplication
 noise {sigma(u) x}(xi) = phi(u(xi)) x(xi) for Lipschitz scalar functions
 psi, phi.  This module turns that model into one fused Galerkin step,
-``ReactionCallbacks.increment`` (pseudo-spectral: synthesize on a tensor
-sine-quadrature grid by a precomputed table of sampled eigenfunctions, apply
-the scalar functions pointwise, project back) and derives its exact regularity
-profile: K_b is the constant kernel from the drift Lipschitz constant, and
-K_sigma is the explicit per-mode series
+``ReactionCallbacks.increment``, the step's only step method (pseudo-spectral:
+synthesize on a tensor sine-quadrature grid by a precomputed table of sampled
+eigenfunctions, apply the scalar functions pointwise, project back), and
+derives its exact regularity profile: K_b is the constant kernel from the
+drift Lipschitz constant, and K_sigma is the explicit per-mode series
 
     K_sigma(t) = c_phi^2 * prod_i (2/L_i) * sum_m e^{-2 lambda_m t},
 
@@ -227,13 +227,10 @@ class _SineTransform:
 
 
 class ReactionCallbacks:
-    """Pseudo-spectral model step; duck-typed like a CallbackBundle.
+    """Pseudo-spectral model step: ``increment`` is its one step method."""
 
-    ``increment`` is what the stepper calls.  The per-part maps (``drift``,
-    ``diffusion_apply`` and the two jacobians) are ``increment`` with dW or dt
-    set to zero; the stepper never calls them, and they stay only because the
-    benchmark's tracer (``perfbench/tracer.py``) wraps them by name.
-    """
+    # no step calls these; perfbench's tracer looks them up, wrapping any not None
+    drift = diffusion_apply = drift_jacobian_apply = diffusion_jacobian_apply = None
 
     def __init__(self, model: ReactionDiffusionModel):
         self._psi = model.psi
@@ -269,18 +266,6 @@ class ReactionCallbacks:
         del psi, dpsi
         w *= tf.synthesize(h)
         return tf.project(dx), tf.project(w)
-
-    def drift(self, x):
-        return self.increment(x, np.zeros_like(x), 1.0)[0]
-
-    def diffusion_apply(self, x, dw):
-        return self.increment(x, dw, 0.0)[0]
-
-    def drift_jacobian_apply(self, x, h):
-        return self.increment(x, np.zeros_like(x), 1.0, h)[1]
-
-    def diffusion_jacobian_apply(self, x, h, dw):
-        return self.increment(x, dw, 0.0, h)[1]
 
     def field_on_grid(self, coeffs: np.ndarray):
         """(grid points (q^d, d), values (q^d,)) of the field of one coefficient vector."""

@@ -10,16 +10,15 @@ It discretizes the mild solution, whose expectations the checked bounds are
 about, and its linear part is stable at any lambda dt.  The derivative flow
 (pathwise linearization along a direction v) is integrated jointly with the
 state using the same noise draws and the same exponential factor.  A model
-enters only through one fused map per step, ``cb.increment(x, dw, dt, h)``,
-which returns the nonlinear increment b(x) dt + sigma(x) dW and, along a
-tangent h, its linearization.  Every model is differentiable: a
-``CallbackBundle`` needs a diffusion and both jacobians, and only its drift may
-be missing.
+enters only as one step object whose one step method,
+``cb.increment(x, dw, dt, h=None) -> (dx, dh)``, returns the nonlinear
+increment b(x) dt + sigma(x) dW and, along a tangent h, its linearization (dh
+is None when h is None).  Every model is differentiable.  The OU reference's
+step is ``diagonal_constant_diffusion``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -66,40 +65,20 @@ class SchemeConfig:
 
 
 @dataclass(frozen=True)
-class CallbackBundle:
-    """Galerkin coefficient maps for drift, diffusion, and their linearizations.
+class diagonal_constant_diffusion:
+    """b = 0, sigma = phi0 * Id: the step of the exactly-solvable OU reference model.
 
-    All callables act on batches: states have shape (B, n) and return (B, n).
-    ``diffusion_apply(x, dw)`` are the coefficients of the projected noise
-    action sigma(x) dW; the jacobian maps are directional derivatives along a
-    coefficient perturbation h.  Only ``drift`` may be None (zero), as in the
-    OU reference.
+    A frozen dataclass, because perfbench's tracer rebuilds it with
+    ``dataclasses.replace``.
     """
 
-    diffusion_apply: Callable
-    drift_jacobian_apply: Callable
-    diffusion_jacobian_apply: Callable
-    drift: Callable | None = None
+    phi0: float
+    # no step calls these; perfbench's tracer looks them up, wrapping any not None
+    drift = diffusion_apply = drift_jacobian_apply = diffusion_jacobian_apply = None
 
     def increment(self, x, dw, dt, h=None):
-        """(dx, dh) of one step: dx = b(x) dt + sigma(x) dw (a missing drift is
-        zero); along h, dh = Db(x)h dt + Dsigma(x)h dw, or None when h is None."""
-        dx = self.diffusion_apply(x, dw)
-        if self.drift is not None:
-            dx = self.drift(x) * dt + dx
-        if h is None:
-            return dx, None
-        return dx, (self.drift_jacobian_apply(x, h) * dt
-                    + self.diffusion_jacobian_apply(x, h, dw))
-
-
-def diagonal_constant_diffusion(phi0: float) -> CallbackBundle:
-    """b = 0 (no drift map), sigma = phi0 * Id: the exactly-solvable OU reference model."""
-    return CallbackBundle(
-        diffusion_apply=lambda x, dw: phi0 * dw,
-        drift_jacobian_apply=lambda x, h: np.zeros_like(h),
-        diffusion_jacobian_apply=lambda x, h, dw: np.zeros_like(h),
-    )
+        """(phi0 dw, 0 along h); the tangent is None when h is None."""
+        return self.phi0 * dw, None if h is None else np.zeros_like(h)
 
 
 def _parts(total: int, most: int) -> list[tuple[int, int]]:
@@ -109,7 +88,7 @@ def _parts(total: int, most: int) -> list[tuple[int, int]]:
 
 
 def simulate_batch(x0: np.ndarray, path_ids, cfg: SchemeConfig, lambdas: np.ndarray,
-                   cb: CallbackBundle, noise: NoiseStream, *,
+                   cb, noise: NoiseStream, *,
                    y0: np.ndarray | None = None, v: np.ndarray | None = None,
                    checkpoint_steps=()):
     """Integrate a batch of paths; the workhorse behind every estimator.

@@ -213,6 +213,16 @@ class TestInvariant:
         assert rep["verdict"] in ("bounded", "inconclusive")
         assert len(rep["rows"]) == 4
 
+    def test_reports_realized_dt(self, tmp_path):
+        # 0.25 / 0.1 rounds to 2 steps of 0.125, the dt the rows sit at
+        cfg = write_experiment(tmp_path, t_end="0.25", dt="0.1", checkpoints="2", m="20")
+        out = tmp_path / "i.json"
+        assert main(["invariant", "--model", "preset:ou-invariant", "--config", cfg,
+                     "--out", str(out)]) == 0
+        rep = json.loads(out.read_text())
+        assert [row["t"] for row in rep["rows"]] == [0.125, 0.25]
+        assert rep["dt"] == 0.125
+
     def test_growth_condition_failure(self, tmp_path):
         bad = tmp_path / "lin.ini"
         bad.write_text(RD_MODEL.replace("form = atan_scaled\na = 0.5",

@@ -7,17 +7,23 @@ import pytest
 from spdelab import simulate
 from spdelab.noise import BatchReader, NoiseStream
 from spdelab.reaction import build_callbacks
-from spdelab.simulate import (CallbackBundle, SchemeConfig, SimulationError,
-                              diagonal_constant_diffusion, ou_exact, simulate_batch)
+from spdelab.simulate import (SchemeConfig, SimulationError, diagonal_constant_diffusion,
+                              ou_exact, simulate_batch)
 
 
-ZERO_JACOBIANS = dict(drift_jacobian_apply=lambda x, h: np.zeros_like(h),
-                      diffusion_jacobian_apply=lambda x, h, w: np.zeros_like(h))
+class Step:
+    """A model step from a drift b(x) and a noise action sigma(x) dW, with a zero tangent."""
+
+    def __init__(self, drift, diffusion):
+        self.drift, self.diffusion = drift, diffusion
+
+    def increment(self, x, dw, dt, h=None):
+        return (self.drift(x) * dt + self.diffusion(x, dw),
+                None if h is None else np.zeros_like(h))
 
 
-def zero_callbacks() -> CallbackBundle:
-    return CallbackBundle(drift=lambda x: np.zeros_like(x),
-                          diffusion_apply=lambda x, w: np.zeros_like(w), **ZERO_JACOBIANS)
+def zero_callbacks() -> Step:
+    return Step(lambda x: np.zeros_like(x), lambda x, w: np.zeros_like(w))
 
 
 class TestSchemeConfig:
@@ -60,6 +66,26 @@ class TestStep:
             expected = expected + 0.7 * dw[k]
         np.testing.assert_array_equal(out, expected)
 
+    def test_ou_step_in_every_lane(self):
+        # x and y follow x = decay (x + 0.8 dW_k) and the flow v decay^K, bit for bit
+        lams = np.array([0.5, 1.0, 2.0])
+        noise = NoiseStream(seed=3, width=3)
+        cfg = SchemeConfig(dt=1e-2, t_end=0.2)
+        x0, y0 = np.array([0.3, -0.1, 2.0]), np.array([1.0, 0.5, -0.2])
+        v = np.array([1.0, -2.0, 0.5])
+        out = simulate_batch(x0, [5], cfg, lams, diagonal_constant_diffusion(0.8), noise,
+                             y0=y0, v=v)
+        dw = noise.open(np.array([5])).draw(cfg.n_steps, 3)[0]
+        dw *= np.sqrt(cfg.realized_dt)
+        decay = np.exp(-lams * cfg.realized_dt)
+        x, y, flow = x0, y0, v
+        for k in range(cfg.n_steps):
+            x = decay * (x + 0.8 * dw[k])
+            y = decay * (y + 0.8 * dw[k])
+            flow = decay * flow
+        for key, expected in (("x", x), ("y", y), ("flow", flow)):
+            np.testing.assert_array_equal(out[key][0], expected)
+
     def test_dimension_mismatch(self):
         noise = NoiseStream(seed=0, width=4)
         cfg = SchemeConfig(dt=1e-2, t_end=0.1)
@@ -68,8 +94,7 @@ class TestStep:
                            diagonal_constant_diffusion(1.0), noise)
 
     def test_nonfinite_state_names_step(self):
-        cb = CallbackBundle(drift=lambda x: np.full_like(x, np.nan),
-                            diffusion_apply=lambda x, w: np.zeros_like(w), **ZERO_JACOBIANS)
+        cb = Step(lambda x: np.full_like(x, np.nan), lambda x, w: np.zeros_like(w))
         noise = NoiseStream(seed=0, width=1)
         cfg = SchemeConfig(dt=1e-2, t_end=0.1)
         with pytest.raises(SimulationError, match="step"):
@@ -77,8 +102,7 @@ class TestStep:
 
     def test_nonfinite_coupled_state_names_paths_and_steps(self):
         # x0 = 0 is a fixed point of the model; only y, started at 1, blows up
-        cb = CallbackBundle(drift=lambda x: 1e3 * x * x,
-                            diffusion_apply=lambda x, w: x * w, **ZERO_JACOBIANS)
+        cb = Step(lambda x: 1e3 * x * x, lambda x, w: x * w)
         noise = NoiseStream(seed=0, width=1)
         cfg = SchemeConfig(dt=1e-2, t_end=0.5)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -92,8 +116,7 @@ class TestStep:
         # most 2 rows it sits in the third tile, drawn 10 steps per chunk
         monkeypatch.setattr(simulate, "_CHUNK_FLOAT_BUDGET", 2 * 10)
         monkeypatch.setattr(simulate, "_MIN_TILE_ROWS", 2)
-        cb = CallbackBundle(drift=lambda x: 1e3 * x * x,
-                            diffusion_apply=lambda x, w: x * w, **ZERO_JACOBIANS)
+        cb = Step(lambda x: 1e3 * x * x, lambda x, w: x * w)
         x0 = np.zeros((5, 1))
         x0[4] = 0.01
         cfg = SchemeConfig(dt=1e-2, t_end=0.5)

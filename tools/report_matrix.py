@@ -22,8 +22,9 @@ for several tiles of several noise chunks.  Every command also runs at
 kernel integral tail is above tolerance too).  A few ``ou8`` cases run edge inputs: a
 direction ``v = 1e200*e1`` whose squared derivative overflows, ``checkpoints = 0``, ``m = 0``
 and ``m = 1e3`` (the last also on ``constants``, which reads every key though it samples
-nothing), and ``seed = -1`` on ``invariant`` (which reports the seed mod 2^64 its noise
-stream uses); ``check gradient`` runs on ``rd16`` and ``ou8`` with the removed key
+nothing), ``seed = -1`` on ``invariant`` (which reports the seed mod 2^64 its noise
+stream uses), and ``t_end = 0.25``, ``dt = 0.1`` on ``invariant`` (which runs and reports
+two steps of dt = 0.125); ``check gradient`` runs on ``rd16`` and ``ou8`` with the removed key
 ``scheme = euler_maruyama`` and on ``ou8`` with the removed key ``k = 4.0`` (each exits 2
 naming the key), and ``constants`` reads a model file with ``[galerkin] n = 1.5``.  One
 ``constants`` case on ``ou8`` writes to ``--out missing/report.json``, whose directory does
@@ -33,12 +34,17 @@ not exist (it exits 2).  Each case gets a directory holding ``stdout``, ``stderr
 Each case runs in a fresh interpreter with ``PYTHONPATH=SRC`` and, as working
 directory, a scratch directory holding the experiment and model files, so the
 file names a report carries are the same for any two source trees.  The path
-of SRC in stderr (warning locations) is written as ``<src>``.
+of SRC in stderr (warning locations) is written as ``<src>``, and the line
+number of each ``<src>/spdelab/<file>.py:<n>:`` location as ``<line>``, so
+that two trees whose warnings differ only in the line they name give the same
+stderr.  Which line each kernel warning names is checked by the warning
+tests in ``tests/test_kernels.py``.
 """
 from __future__ import annotations
 
 import argparse
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -57,13 +63,16 @@ CHUNKS = {"m": "20000", "batch_size": "20000", "t_end": "0.2", "dt": "1e-3",
 EDGES = {"bigv": dict(SMALL, v="1e200*e1"), "nocheckpoints": dict(SMALL, checkpoints="0"),
          "nopaths": dict(SMALL, m="0"), "floatm": dict(SMALL, m="1e3"),
          "em": dict(SMALL, scheme="euler_maruyama", dt="1e-3"), "slackkey": dict(SMALL, k="4.0"),
-         "negseed": dict(SMALL, seed="-1")}
+         "negseed": dict(SMALL, seed="-1"),
+         # 0.25/0.1 rounds to 2 steps, run at dt = 0.125
+         "roundeddt": dict(SMALL, t_end="0.25", dt="0.1")}
 EDGE_CASES = ((["check", "gradient"], "ou8", "bigv"), (["check", "variance"], "ou8", "bigv"),
               (["invariant"], "ou8", "nocheckpoints"),
               (["dump-trajectories"], "ou8", "nopaths"),
               (["check", "gradient"], "ou8", "floatm"), (["check", "gradient"], "rd16", "em"),
               (["check", "gradient"], "ou8", "em"), (["check", "gradient"], "ou8", "slackkey"),
-              (["constants"], "ou8", "floatm"), (["invariant"], "ou8", "negseed"))
+              (["constants"], "ou8", "floatm"), (["invariant"], "ou8", "negseed"),
+              (["invariant"], "ou8", "roundeddt"))
 
 SLOW_TAIL_MODEL = """[model]
 kind = reaction_diffusion
@@ -176,7 +185,8 @@ def main(argv=None) -> int:
             case = out / name
             case.mkdir(parents=True, exist_ok=True)
             (case / "stdout").write_text(proc.stdout)
-            (case / "stderr").write_text(proc.stderr.replace(src, "<src>"))
+            (case / "stderr").write_text(re.sub(r"(<src>/spdelab/\w+\.py):\d+:", r"\1:<line>:",
+                                                proc.stderr.replace(src, "<src>")))
             (case / "exit_code").write_text(f"{proc.returncode}\n")
             printed[name] = proc.stdout
             if "Traceback (most recent call last)" in proc.stderr:
