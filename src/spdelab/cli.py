@@ -55,7 +55,10 @@ def _parse_scalar_spec(section) -> ScalarFunctionSpec:
         args = [_number(section[k], f"[{section.name}] {k}") for k in keys]
     except KeyError as e:
         raise ValueError(f"scalar form {form!r} needs key {e}") from None
-    return ctor(*args)
+    try:
+        return ctor(*args)
+    except OverflowError:
+        raise ValueError(f"[{section.name}] {form}: the square of a parameter overflows") from None
 
 
 # both model kinds answer n, lambdas, callbacks and profile()

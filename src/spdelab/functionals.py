@@ -11,7 +11,6 @@ import numpy as np
 class Functional:
     """Observable on coefficient space, batched: eval (B,n)->(B,), grad (B,n)->(B,n)."""
 
-    name: str
     eval: Callable
     grad: Callable
     strictly_positive: bool = False
@@ -31,7 +30,7 @@ def coordinate(i: int) -> Functional:
         g[:, i] = 1.0
         return g
 
-    return Functional(name=f"coord{i + 1}", eval=ev, grad=gr)
+    return Functional(eval=ev, grad=gr)
 
 
 def sin_coordinate(i: int = 0, shift: float = 0.0) -> Functional:
@@ -44,8 +43,7 @@ def sin_coordinate(i: int = 0, shift: float = 0.0) -> Functional:
         g[:, i] = np.cos(x[:, i])
         return g
 
-    name = f"sin{i + 1}" if shift == 0.0 else f"{shift:g}+sin{i + 1}"
-    return Functional(name=name, eval=ev, grad=gr, strictly_positive=shift > 1.0)
+    return Functional(eval=ev, grad=gr, strictly_positive=shift > 1.0)
 
 
 def constant(c: float) -> Functional:
@@ -55,7 +53,7 @@ def constant(c: float) -> Functional:
     def gr(x):
         return np.zeros_like(x)
 
-    return Functional(name=f"const{c:g}", eval=ev, grad=gr, strictly_positive=c > 0)
+    return Functional(eval=ev, grad=gr, strictly_positive=c > 0)
 
 
 REGISTRY: dict[str, Callable[[], Functional]] = {

@@ -16,9 +16,11 @@ Every estimate, the moment curves and the Galerkin gaps included, goes
 through one sampler, ``MonteCarlo._sample``.  It splits the paths into
 fixed-size blocks by path id, runs each block (on any number of threads),
 checks every per-path value for finiteness (an ``EstimationError`` names the
-quantity and the path ids), and merges the blocks' central moments in
-ascending block order, so every result is bit-reproducible for a given seed
-regardless of worker count.
+quantity and the path ids), and reduces all M values of each quantity in one
+pass, in path order.  So every result is bit-reproducible for a given seed
+whatever the worker count, and the block size only splits the work: it changes
+a value only where the model step itself rounds differently for a different
+row count (BLAS products on a reaction-diffusion grid, blocks below ~100 rows).
 """
 from __future__ import annotations
 
@@ -52,35 +54,24 @@ class Stats:
     se_var: float
 
 
-def _moments(vals: np.ndarray) -> np.ndarray:
-    """(count, mean, M2, M3, M4) of one block: central power sums about its own mean."""
-    mean = vals.mean()
-    d = vals - mean
-    d2 = d * d
-    return np.array([vals.size, mean, d2.sum(), (d2 * d).sum(), (d2 * d2).sum()])
+def _stats(vals: np.ndarray) -> Stats:
+    """Stats of the per-path values, from their deviations about ``vals[0]``.
 
-
-def _merged_stats(parts) -> Stats:
-    """Stats of the union of blocks given as ``_moments`` rows, merged in order.
-
-    Pairwise update of the central sums (Chan, Golub & LeVeque 1979; Pebay,
-    SAND2008-6212), so no raw power sum of a large mean ever cancels.
+    The deviations are re-centred on their mean before any power is taken
+    (shifted data, Chan, Golub & LeVeque 1983), so no power sum of a large
+    mean ever cancels, and values that are all equal give exactly var = 0.
     """
-    n, mean, m2, m3, m4 = parts[0]
-    for nb, mean_b, m2b, m3b, m4b in parts[1:]:
-        na, n = n, n + nb
-        delta = mean_b - mean
-        dn = delta / n
-        m4 = (m4 + m4b + delta * dn**3 * na * nb * (na * na - na * nb + nb * nb)
-              + 6.0 * dn**2 * (na * na * m2b + nb * nb * m2) + 4.0 * dn * (na * m3b - nb * m3))
-        m3 = m3 + m3b + delta * dn**2 * na * nb * (na - nb) + 3.0 * dn * (na * m2b - nb * m2)
-        m2 = m2 + m2b + delta * dn * na * nb
-        mean = mean + dn * nb
-    m = int(n)
-    var = m2 / (m - 1) if m > 1 else 0.0
-    se = math.sqrt(var / m) if m > 1 else 0.0
-    se_var = math.sqrt(max(m4 / m - (m2 / m) ** 2, 0.0) / m) if m > 1 else 0.0
-    return Stats(mean=float(mean), se=se, var=float(var), se_var=se_var)
+    m = vals.size
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = vals - vals[0]
+        shift = d.mean()
+        d -= shift
+        d2 = d * d
+        m2, m4 = d2.sum(), (d2 * d2).sum()
+        var = m2 / (m - 1) if m > 1 else 0.0
+        se = math.sqrt(var / m) if m > 1 else 0.0
+        se_var = math.sqrt(max(m4 / m - (m2 / m) ** 2, 0.0) / m) if m > 1 else 0.0
+    return Stats(mean=float(vals[0] + shift), se=se, var=float(var), se_var=se_var)
 
 
 def _require_finite(what: str, **fields):
@@ -171,7 +162,7 @@ class MonteCarlo:
     def _sample(self, x0, t: float, M: int, evaluators: dict, run=None,
                 **batch) -> dict[str, Stats]:
         """Run M paths in blocks; evaluators map ``run(block)``'s result dict to
-        per-path values, whose moments are merged per evaluator.
+        per-path values, whose ``_stats`` are taken over all M paths in path order.
 
         ``run`` defaults to one ``simulate_batch`` of the block with ``batch``
         (``v``, ``y0``, ``checkpoint_steps``) passed through.  At t = 0 every
@@ -186,20 +177,18 @@ class MonteCarlo:
 
         def worker(block):
             res = run(block)
-            sums = {}
+            out = {}
             for name, evaluate in evaluators.items():
                 with np.errstate(over="ignore", invalid="ignore"):
-                    vals = evaluate(res)
+                    out[name] = vals = evaluate(res)
                     bad = ~np.isfinite(vals)
                     if bad.any():
                         raise EstimationError(
                             f"non-finite values of {name!r} on paths {block[bad][:5].tolist()}")
-                    sums[name] = _moments(vals)
-            return sums
+            return out
 
-        partials = self._map_blocks(worker, blocks)   # in ascending block order
-        with np.errstate(over="ignore", invalid="ignore"):
-            return {name: _merged_stats([p[name] for p in partials]) for name in evaluators}
+        parts = self._map_blocks(worker, blocks)   # in ascending block order
+        return {name: _stats(np.concatenate([p[name] for p in parts])) for name in evaluators}
 
     # -- inequality checks -----------------------------------------------------
 

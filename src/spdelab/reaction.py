@@ -53,7 +53,6 @@ class ScalarFunctionSpec:
     used by the quadratic-growth condition.
     """
 
-    name: str
     fn: Callable
     deriv: Callable
     lipschitz: float
@@ -63,8 +62,7 @@ class ScalarFunctionSpec:
 
     @classmethod
     def affine(cls, a: float, b: float) -> "ScalarFunctionSpec":
-        return cls(name=f"affine({a:g},{b:g})",
-                   fn=lambda s: a * s + b,
+        return cls(fn=lambda s: a * s + b,
                    deriv=lambda s: (a * s + b, np.full_like(np.asarray(s, float), a)),
                    lipschitz=abs(a),
                    inf_sq=0.0 if a != 0 else b**2,
@@ -75,8 +73,7 @@ class ScalarFunctionSpec:
     def sin_perturbed(cls, c0: float, amp: float, freq: float) -> "ScalarFunctionSpec":
         lo, hi = c0 - abs(amp), c0 + abs(amp)
         inf_sq = 0.0 if lo <= 0.0 <= hi else min(lo**2, hi**2)
-        return cls(name=f"sin_perturbed({c0:g},{amp:g},{freq:g})",
-                   fn=lambda s: _sin_perturbed(s, c0, amp, freq, slope=False),
+        return cls(fn=lambda s: _sin_perturbed(s, c0, amp, freq, slope=False),
                    deriv=lambda s: _sin_perturbed(s, c0, amp, freq, slope=True),
                    lipschitz=abs(amp * freq),
                    inf_sq=inf_sq,
@@ -92,8 +89,7 @@ class ScalarFunctionSpec:
             with np.errstate(over="ignore"):
                 return a * np.arctan(s), a / (1.0 + s ** 2)
 
-        return cls(name=f"atan_scaled({a:g})",
-                   fn=lambda s: a * np.arctan(s),
+        return cls(fn=lambda s: a * np.arctan(s),
                    deriv=deriv,
                    lipschitz=abs(a),
                    inf_sq=0.0,
@@ -101,9 +97,9 @@ class ScalarFunctionSpec:
 
     @classmethod
     def custom(cls, fn, lipschitz, inf_sq, sup_sq, deriv,
-               growth_sq_slope=0.0, name="custom") -> "ScalarFunctionSpec":
+               growth_sq_slope=0.0) -> "ScalarFunctionSpec":
         """``deriv`` here is g' alone; the spec stores the pair map built from it."""
-        return cls(name=name, fn=fn, deriv=lambda s: (fn(s), deriv(s)), lipschitz=lipschitz,
+        return cls(fn=fn, deriv=lambda s: (fn(s), deriv(s)), lipschitz=lipschitz,
                    inf_sq=inf_sq, sup_sq=sup_sq, growth_sq_slope=growth_sq_slope)
 
 

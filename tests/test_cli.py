@@ -432,11 +432,17 @@ def test_bad_config_exits_2(argv, cfg, named, tmp_path, capsys):
      "[galerkin] quad_points = '3e1'"),
     (RD_MODEL.replace("d = 1", "d = 1.0"), None, "[domain] d = '1.0'"),
     (RD_MODEL.replace("d = 1", "d = 0"), None, "[domain] d = '0' is not an integer >= 1"),
+    # finite parameters whose squares (the ellipticity and growth bounds) overflow
+    (RD_MODEL.replace("a = 0.5", "a = 1e200"), None, "[psi] atan_scaled"),
+    (RD_MODEL.replace("form = atan_scaled\na = 0.5", "form = affine\na = 1e200\nb = 0.1"), None,
+     "[psi] affine"),
+    (RD_MODEL.replace("amp = 0.1", "amp = 1e200"), None, "[phi] sin_perturbed"),
 ], ids=["side-with-one-number", "ou-without-lambdas", "ou-zero-lambda",
         "model-without-section", "experiment-without-section", "nan-alpha", "inf-alpha",
         "nan-phi-amp", "inf-psi-a", "inf-side", "nan-ou-lambda", "ou-phi0-not-a-number",
         "nan-t", "inf-t", "ou-phi0-square-overflows", "float-n", "zero-n",
-        "float-quad-points", "float-d", "zero-d"])
+        "float-quad-points", "float-d", "zero-d", "atan-a-square-overflows",
+        "affine-a-square-overflows", "sin-amp-square-overflows"])
 def test_bad_input_file_exits_2(model, experiment, named, tmp_path, capsys):
     argv = ["constants", "--model", str(tmp_path / "m.ini")]
     (tmp_path / "m.ini").write_text(model)
@@ -462,31 +468,44 @@ def test_invariant_reports_the_seed_its_stream_uses(tmp_path):
     assert seeds == [2**64 - 1, 2**64 - 1]
 
 
+# sigma = 1e90 Id on eight modes: |X_t|^2 is finite (about 1e178), its square is not
+NOISY_OU_MODEL = """
+[model]
+kind = ou
+[ou]
+lambdas = 0.5 1 1.5 2 2.5 3 3.5 4
+phi0 = 1e90
+"""
+
+
 def _run_at_huge_start(argv, tmp_path, x="1e160*ones", v="e1", **extra):
     # per-path values are so large that they, or their squares, overflow; run
-    # as a process so that numpy warnings would show on stderr
+    # as a process so that numpy warnings would show on stderr, in tmp_path,
+    # which holds NOISY_OU_MODEL as noisy-ou.ini
     base = dict(x=x, v=v, m="20", t="0.05", t_end="0.05", checkpoints="2", dt="1e-2",
                 n_list="2 4", bign="8", f="coord1")
     cfg = write_experiment(tmp_path, **{**base, **extra})
+    (tmp_path / "noisy-ou.ini").write_text(NOISY_OU_MODEL)
     out = tmp_path / "out"
     proc = subprocess.run([sys.executable, "-m", "spdelab.cli", *argv, "--config", cfg,
-                           "--out", str(out)], capture_output=True, text=True, env=_env())
+                           "--out", str(out)], capture_output=True, text=True, env=_env(),
+                          cwd=tmp_path)
     return proc, out
 
 
 @pytest.mark.parametrize("argv, cfg", [
     (["converge", "--model", "preset:ou8"], dict(x="1e160*ones")),
     (["invariant", "--model", "preset:ou-invariant"], dict(x="1e160*ones")),
-    (["check", "poincare", "--model", "preset:ou8"], dict(x="1e160*ones")),
-    (["converge", "--model", "preset:ou8"], dict(x="1e100*ones")),
-    (["invariant", "--model", "preset:ou-invariant"], dict(x="1e100*ones")),
+    (["check", "poincare", "--model", "noisy-ou.ini"], dict(x="zeros")),
+    (["converge", "--model", "noisy-ou.ini"], dict(x="zeros")),
+    (["invariant", "--model", "noisy-ou.ini"], dict(x="zeros")),
     (["check", "gradient", "--model", "preset:ou8"], dict(x="zeros", v="1e200*e1")),
     (["check", "variance", "--model", "preset:ou8"], dict(x="zeros", v="1e200*e1")),
 ], ids=["converge", "invariant", "poincare", "converge-moments", "invariant-moments",
         "gradient-huge-v", "variance-huge-v"])
 def test_nonfinite_estimate_exits_3(argv, cfg, tmp_path):
-    # at 1e160 |x|^2 overflows per path; at 1e100 only the merged moments do.  A
-    # huge v makes the squared directional derivative overflow
+    # at 1e160 |x|^2 overflows per path; under noise 1e90 only the squares the
+    # variance sums do.  A huge v makes the squared directional derivative overflow
     proc, out = _run_at_huge_start(argv, tmp_path, **cfg)
     assert proc.returncode == 3
     assert proc.stderr.startswith("numerical failure: ")

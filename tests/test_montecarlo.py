@@ -8,8 +8,7 @@ import pytest
 from spdelab import kernels, montecarlo, presets
 from spdelab.functionals import (REGISTRY, Functional, by_name, constant, coordinate,
                                  sin_coordinate)
-from spdelab.montecarlo import (EstimationError, MonteCarlo, _merged_stats, _moments,
-                                plateau_verdict)
+from spdelab.montecarlo import EstimationError, MonteCarlo, _stats, plateau_verdict
 from spdelab.noise import NoiseStream
 from spdelab.reaction import build_callbacks
 from spdelab.simulate import diagonal_constant_diffusion
@@ -58,7 +57,7 @@ class TestExpect:
 
     def test_nonfinite_values_reported(self):
         mc = ou_mc([1.0])
-        bad = Functional(name="bad", eval=lambda x: np.full(x.shape[0], np.inf),
+        bad = Functional(eval=lambda x: np.full(x.shape[0], np.inf),
                          grad=lambda x: np.zeros_like(x), strictly_positive=False)
         with pytest.raises(EstimationError):
             mc._sample(np.zeros(1), 0.1, 64, {"f": lambda r: bad.eval(r["x"])})
@@ -113,7 +112,7 @@ class TestChecksDegenerate:
     def test_gradient_ignores_unread_values(self):
         # the gradient bound reads grad f only: a non-finite f(X_t) cannot fail it
         mc = ou_mc([1.0, 2.0])
-        f = Functional(name="inf", eval=lambda x: np.full(x.shape[0], np.inf),
+        f = Functional(eval=lambda x: np.full(x.shape[0], np.inf),
                        grad=lambda x: np.zeros_like(x))
         rep = mc.check_gradient_bound(f, np.zeros(2), np.array([1.0, 0.0]), 0.1,
                                       math.inf, 200)
@@ -269,14 +268,42 @@ class TestReproducibility:
                                                   t0, lam, 400)])
             assert [r.to_json() for r in reps[0]] == [r.to_json() for r in reps[1]]
 
+    def test_batch_size_only_splits_the_work(self, rd16_profile, rd16, rd16_callbacks):
+        # every OU estimate reads the same bytes however the paths are split into
+        # blocks; on rd16 so do blocks of at least 300 rows, which BLAS rounds alike
+        ou, M, t = presets.ou_moments_preset(), 200, 0.1
+        prof = ou.profile()
+        f, x, y, v = sin_coordinate(0, shift=2.0), np.full(8, 0.3), np.zeros(8), np.eye(8)[0]
+
+        def ou_results(batch_size):
+            mc = MonteCarlo(ou.lambdas, ou.callbacks, NoiseStream(seed=5, width=8), dt=1e-2,
+                            batch_size=batch_size)
+            reps = [mc.check_gradient_bound(f, x, v, t, prof.t0, M),
+                    mc.check_log_harnack(f, x, y, t, prof.t0, prof.lambda_sigma, M),
+                    mc.check_variance_gradient(f, x, v, t, prof.t0, prof.lambda_sigma, M),
+                    mc.check_poincare(f, x, t, prof.t0, prof.lambda_bar_sigma, M),
+                    mc.check_flow_bound(x, v, t, prof.t0, M)]
+            return ([r.to_json() for r in reps],
+                    mc.second_moment_curve(x, t, [0.05, 0.1], M),
+                    mc.convergence_study(lambda n: (ou.lambdas[:n], ou.callbacks), [2, 4], 8,
+                                         x, t, M))
+
+        runs = [ou_results(b) for b in (1, 7, 100, M)]
+        assert all(r == runs[0] for r in runs[1:])
+        reps = {MonteCarlo(rd16.spectrum.lambdas, rd16_callbacks, NoiseStream(seed=5, width=16),
+                           dt=1e-3, batch_size=b)
+                .check_gradient_bound(sin_coordinate(0), np.zeros(16), np.eye(16)[0], 0.05,
+                                      rd16_profile.t0, 2500).to_json()
+                for b in (300, 1000, 4096)}
+        assert len(reps) == 1
+
 
 class TestMoments:
     def test_large_mean_offset(self, rng):
         # spread 1e-2 about 1e5: raw power sums lose the variance entirely
         dev = 1e-2 * rng.normal(size=100_000)
-        blocks = np.array_split(dev, 7)
-        ref = _merged_stats([_moments(b) for b in blocks])
-        st = _merged_stats([_moments(1e5 + b) for b in blocks])
+        ref = _stats(dev)
+        st = _stats(1e5 + dev)
         assert st.mean == pytest.approx(1e5 + ref.mean, rel=1e-15)
         assert st.var == pytest.approx(ref.var, rel=1e-6)
         assert st.se_var == pytest.approx(ref.se_var, rel=1e-5)
@@ -284,12 +311,15 @@ class TestMoments:
         d = dev - dev.mean()
         m2, m4 = np.mean(d**2), np.mean(d**4)
         assert ref.se_var == pytest.approx(math.sqrt((m4 - m2**2) / dev.size), rel=1e-10)
+        # equal values are their own mean exactly, though 48 of them do not sum exactly
+        st = _stats(np.full(48, 1.2345e160))
+        assert (st.mean, st.se, st.var, st.se_var) == (1.2345e160, 0.0, 0.0, 0.0)
 
     def test_shifted_functional_same_variance_check(self):
         # the variance gates of check_poincare read the same numbers at offset 1e5
         mc = ou_mc([1.0, 2.0], seed=7)
         f = coordinate(0)
-        g = Functional(name="coord1+1e5", eval=lambda x: 1e5 + x[:, 0], grad=f.grad)
+        g = Functional(eval=lambda x: 1e5 + x[:, 0], grad=f.grad)
         reps = [mc.check_poincare(fn, np.zeros(2), 0.1, math.inf, 1.0, 2000)
                 for fn in (f, g)]
         assert reps[1].lhs_hat == pytest.approx(reps[0].lhs_hat, rel=1e-7)

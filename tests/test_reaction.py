@@ -82,7 +82,7 @@ class TestScalarSpecs:
     def test_lipschitz_spot_check_catches_lies(self):
         bad = ScalarFunctionSpec.custom(lambda s: 10 * s, lipschitz=1.0, inf_sq=0.0,
                                         sup_sq=math.inf, deriv=lambda s: np.full_like(s, 10.0),
-                                        growth_sq_slope=100.0, name="steep")
+                                        growth_sq_slope=100.0)
         assert not spot_check_lipschitz(bad)
 
 
@@ -190,7 +190,7 @@ class TestCallbacks:
         # coefficient returns would change u for the other coefficient
         same = ScalarFunctionSpec.custom(lambda s: s, lipschitz=1.0, inf_sq=0.0,
                                          sup_sq=math.inf, deriv=np.ones_like,
-                                         growth_sq_slope=1.0, name="same")
+                                         growth_sq_slope=1.0)
         x, dw, h = rng.normal(size=(3, 5, 8))
         for hh in (None, h):
             got = build_callbacks(make_model(same, same)).increment(x, dw, 1e-3, hh)

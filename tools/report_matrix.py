@@ -7,9 +7,12 @@
 
 After writing every case, the tool compares the stdout of each ``*_t1``/``*_t2``
 pair and names each pair that differs: a report must not depend on
-``--threads``.  It also names each case whose stderr holds a Python traceback:
-every failure must end in an exit code and a one-line message, and an uncaught
-exception exits 1, the code of a failed gate.  Either finding makes it exit 1.
+``--threads``.  It compares each batch-size twin (a case rerun with only
+``batch_size`` changed, named ``<case>_<twin config>``) with its case and names
+each twin whose stdout or exit code differs: ``batch_size`` only splits the
+work.  It also names each case whose stderr holds a Python traceback: every
+failure must end in an exit code and a one-line message, and an uncaught
+exception exits 1, the code of a failed gate.  Any finding makes it exit 1.
 
 Every command runs on ``preset:rd16`` and ``preset:ou8`` at ``--threads`` 1
 and 2, once with a small experiment and once started at ``x = 1e160*ones``
@@ -17,7 +20,10 @@ and 2, once with a small experiment and once started at ``x = 1e160*ones``
 ``invariant`` also run on their OU presets, and ``validate`` on a
 reaction-diffusion model whose kernel integral tail is above tolerance
 (alpha = 0.6).  One more ``invariant`` case runs a single batch large enough
-for several tiles of several noise chunks.  Every command also runs at
+for several tiles of several noise chunks.  Three cases have batch-size twins:
+``check poincare`` and ``check variance`` on ``ou8`` at the huge start run
+again as one block of 48 paths, and the chunked ``invariant`` case again in
+blocks of 2000 paths.  Every command also runs at
 ``--threads 1`` on two model files: an OU reference and a 2-d reaction-diffusion model (whose
 kernel integral tail is above tolerance too).  A few ``ou8`` cases run edge inputs: a
 direction ``v = 1e200*e1`` whose squared derivative overflows, ``checkpoints = 0``, ``m = 0``
@@ -26,7 +32,8 @@ nothing), ``seed = -1`` on ``invariant`` (which reports the seed mod 2^64 its no
 stream uses), and ``t_end = 0.25``, ``dt = 0.1`` on ``invariant`` (which runs and reports
 two steps of dt = 0.125); ``check gradient`` runs on ``rd16`` and ``ou8`` with the removed key
 ``scheme = euler_maruyama`` and on ``ou8`` with the removed key ``k = 4.0`` (each exits 2
-naming the key), and ``constants`` reads a model file with ``[galerkin] n = 1.5``.  One
+naming the key), and ``constants`` reads a model file with ``[galerkin] n = 1.5`` and one
+with ``[phi] amp = 1e200``, whose square overflows (each exits 2).  One
 ``constants`` case on ``ou8`` writes to ``--out missing/report.json``, whose directory does
 not exist (it exits 2).  Each case gets a directory holding ``stdout``, ``stderr`` and
 ``exit_code``.
@@ -73,6 +80,13 @@ EDGE_CASES = ((["check", "gradient"], "ou8", "bigv"), (["check", "variance"], "o
               (["check", "gradient"], "ou8", "em"), (["check", "gradient"], "ou8", "slackkey"),
               (["constants"], "ou8", "floatm"), (["invariant"], "ou8", "negseed"),
               (["invariant"], "ou8", "roundeddt"))
+# each case named here has a twin that runs under the config given, which differs
+# from the case's own only in batch_size
+TWIN_CONFIGS = {"huge-batch48": dict(HUGE, batch_size="48"),
+                "chunks-batch2000": dict(CHUNKS, batch_size="2000")}
+TWINS = {"check-poincare_ou8_huge_t1": "huge-batch48",
+         "check-variance_ou8_huge_t1": "huge-batch48",
+         "invariant_ou-invariant_chunks": "chunks-batch2000"}
 
 SLOW_TAIL_MODEL = """[model]
 kind = reaction_diffusion
@@ -124,7 +138,8 @@ quad_points = 16
 """
 
 MODEL_FILES = {"alpha06.ini": SLOW_TAIL_MODEL, "ou.ini": OU_MODEL, "rd2d.ini": RD2D_MODEL,
-               "floatn.ini": SLOW_TAIL_MODEL.replace("n = 8", "n = 1.5")}
+               "floatn.ini": SLOW_TAIL_MODEL.replace("n = 8", "n = 1.5"),
+               "bigamp.ini": SLOW_TAIL_MODEL.replace("amp = 0.1", "amp = 1e200")}
 
 COMMANDS = (["validate"], ["constants"], ["check", "gradient"], ["check", "logharnack"],
             ["check", "variance"], ["check", "poincare"], ["check", "flowbound"],
@@ -132,7 +147,13 @@ COMMANDS = (["validate"], ["constants"], ["check", "gradient"], ["check", "logha
 
 
 def cases():
-    """(name, argv, config name) of every case, in a fixed order."""
+    """(name, argv, config name) of every case, in a fixed order, twins last."""
+    base = list(_cases())
+    return base + [(f"{name}_{TWINS[name]}", cmd, TWINS[name])
+                   for name, cmd, _ in base if name in TWINS]
+
+
+def _cases():
     for model in ("rd16", "ou8"):
         for cfg in ("small", "huge"):
             for threads in ("1", "2"):
@@ -154,12 +175,14 @@ def cases():
         yield (f"{'-'.join(cmd)}_{model}_{cfg}_t1",
                cmd + ["--model", f"preset:{model}", "--threads", "1"], cfg)
     yield "constants_floatn-file_small_t1", ["constants", "--model", "floatn.ini"], "small"
+    yield "constants_bigamp-file_small_t1", ["constants", "--model", "bigamp.ini"], "small"
     yield ("constants_ou8_unwritable-out_t1",
            ["constants", "--model", "preset:ou8", "--out", "missing/report.json"], "small")
 
 
 def write_inputs(work: Path):
-    for name, cfg in (("small", SMALL), ("huge", HUGE), ("chunks", CHUNKS), *EDGES.items()):
+    for name, cfg in (("small", SMALL), ("huge", HUGE), ("chunks", CHUNKS), *EDGES.items(),
+                      *TWIN_CONFIGS.items()):
         body = "[experiment]\n" + "".join(f"{k} = {v}\n" for k, v in cfg.items())
         (work / f"{name}.ini").write_text(body)
     for name, body in MODEL_FILES.items():
@@ -174,7 +197,7 @@ def main(argv=None) -> int:
     src = str(Path(args.src).resolve())
     out = Path(args.out)
     env = dict(os.environ, PYTHONPATH=src)
-    printed, crashed = {}, []
+    printed, exits, crashed = {}, {}, []
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         write_inputs(work)
@@ -188,7 +211,7 @@ def main(argv=None) -> int:
             (case / "stderr").write_text(re.sub(r"(<src>/spdelab/\w+\.py):\d+:", r"\1:<line>:",
                                                 proc.stderr.replace(src, "<src>")))
             (case / "exit_code").write_text(f"{proc.returncode}\n")
-            printed[name] = proc.stdout
+            printed[name], exits[name] = proc.stdout, proc.returncode
             if "Traceback (most recent call last)" in proc.stderr:
                 crashed.append(name)
             print(f"{proc.returncode} {name}", flush=True)
@@ -196,9 +219,14 @@ def main(argv=None) -> int:
               and name[:-1] + "2" in printed and printed[name] != printed[name[:-1] + "2"]]
     for name in differ:
         print(f"stdout differs between {name} and {name[:-1]}2", file=sys.stderr)
+    split = [name for name, cfg in TWINS.items() if (printed[name], exits[name])
+             != (printed[f"{name}_{cfg}"], exits[f"{name}_{cfg}"])]
+    for name in split:
+        print(f"stdout or exit code differs between {name} and {name}_{TWINS[name]}",
+              file=sys.stderr)
     for name in crashed:
         print(f"traceback in the stderr of {name}", file=sys.stderr)
-    return 1 if differ or crashed else 0
+    return 1 if differ or split or crashed else 0
 
 
 if __name__ == "__main__":
