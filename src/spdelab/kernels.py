@@ -6,18 +6,20 @@ running integrals phi(t) = int_0^t K(s) ds determine a critical time t0 (the
 largest t with phi_b + phi_sigma <= 1/6), and t0 in turn fixes every constant
 in the gradient, log-Harnack, variance and Poincare bounds.
 
-A profile pairs two kernel forms (no shared base class); ``Kernel`` is their union:
+A profile pairs the two forms a model builds (no shared base class); ``Kernel`` is their union:
 
 * ``ConstantKernel(c)``          K(t) = c^2            (Lipschitz drift)
-* ``ModeSeriesKernel``           K(t) = sum_m w_m e^{-r_m t} with explicit
-  per-mode weights/rates (exact rectangle data)
+* ``ModeSeriesKernel``           K(t) = w sum_m e^{-r_m t}: one weight (every rectangle
+  eigenfunction has the same sup-norm) and explicit per-mode rates
 
-``PowerSeriesKernel`` (K(t) = C sum_m m^k e^{-delta t m^p}, k in {0,1}) is criterion 7's
-steep-growth reference and has only ``integral`` and ``epsilon_integral``.  ``integral`` sums
+``PowerSeriesKernel`` (K(t) = C sum_m m^k e^{-delta t m^p}, k in {0,1}) is built by no model;
+it keeps only ``integral``, because perfbench's tracer names the class.  ``integral`` sums
 term by term in closed form; ``epsilon_integral`` returns (finite?, value or inf).  ``value``
 and ``integral`` take one time and return a float; bad input raises ``ValueError``.
-All series are summed with provable integral-comparison tail bounds, so values
-are deterministic to the truncation tolerance ``TRUNCATION_TOL``.
+All series are summed with integral-comparison tail bounds, so values are deterministic to
+the truncation tolerance ``TRUNCATION_TOL``.  A constant whose power of 6 overflows a float
+(t/t0 above about 395) is ``math.inf``: ``constants`` writes it as "inf", and a ``check``
+whose bound is infinite fails its finiteness check (exit 3).
 """
 from __future__ import annotations
 
@@ -43,7 +45,7 @@ def _time(t: float, positive: bool = False) -> float:
     return t
 
 
-def _mode_integral(w: np.ndarray, r: np.ndarray, t: float) -> float:
+def _mode_integral(w, r: np.ndarray, t: float) -> float:
     """sum_m w_m (1 - e^{-r_m t}) / r_m, the integral of sum_m w_m e^{-r_m s} over [0, t]."""
     return float(np.sum(w * -np.expm1(-r * t) / r))
 
@@ -69,11 +71,6 @@ class ConstantKernel:
         return 0.0 if self.c == 0 else math.inf
 
 
-def _check_eps(eps: float):
-    if not 0.0 < eps < 1.0:
-        raise ValueError("eps must lie in (0, 1)")
-
-
 def _exp_series_tail(coef: float, rate: float, p: float, m_from: float) -> float:
     """Upper bound for sum_{m > m_from} coef * exp(-rate * m^p): the summand decreases in m, so
     the sum is at most int_{m_from}^inf coef e^{-rate x^p} dx, an upper incomplete gamma function.
@@ -93,7 +90,8 @@ class PowerSeriesKernel:
     """K(t) = C sum_{m>=1} m^k e^{-delta t m^p} with k = 0 or 1.
 
     k = 0 is the uniformly-bounded-eigenfunction form; k = 1 carries the extra
-    sqrt(m)^2 factor from the general-domain eigenfunction envelope.
+    sqrt(m)^2 factor from the general-domain eigenfunction envelope.  No model builds this
+    form; it stays only because perfbench's tracer names the class.
     """
 
     C: float
@@ -126,52 +124,28 @@ class PowerSeriesKernel:
         m = np.arange(1, int(min(max(M, 64), _MAX_TERMS)) + 2, dtype=float)
         return _mode_integral(self.C * m**self._k, self.delta * m**self.p, _time(t))
 
-    def epsilon_integral(self, eps: float) -> tuple[bool, float]:
-        from scipy import special
-
-        _check_eps(eps)
-        # term_m ~ C Gamma(1-eps) (delta m^p)^{eps-1} m^k: converges iff p(1-eps) - k > 1
-        q = self.p * (1.0 - eps) - self._k
-        if q <= 1.0:
-            return False, math.inf
-        g = special.gamma(1.0 - eps)
-        total, lo, M = 0.0, 0, 2048
-        while True:
-            m = np.arange(lo + 1, M + 1, dtype=float)
-            r = self.delta * m**self.p
-            terms = self.C * m**self._k * r ** (eps - 1.0) * g * special.gammainc(1.0 - eps, r)
-            total += float(terms.sum())
-            # power-law tail of the term sequence past M
-            tail = self.C * g * self.delta ** (eps - 1.0) * M ** (1.0 - q) / (q - 1.0)
-            if tail < 1e-9 or M > 5_000_000:
-                return True, total + 0.5 * tail
-            lo, M = M, 2 * M
-
 
 @dataclass(frozen=True)
 class ModeSeriesKernel:
-    """K(t) = sum_m w_m e^{-r_m t} from explicit per-mode weights and rates.
+    """K(t) = w sum_m e^{-r_m t} from one weight w and explicit per-mode rates.
 
     ``rate_exponent`` is the asymptotic growth order of the rates
     (r_m ~ m^rate_exponent); it drives tail bounds past the stored modes and
     the integrability decisions.
     """
 
-    weights: np.ndarray
+    weight: float
     rates: np.ndarray
     rate_exponent: float
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
         r = np.asarray(self.rates, dtype=float)
-        if w.shape != r.shape or w.ndim != 1 or w.size == 0:
-            raise ValueError("weights and rates must be matching 1-d arrays")
-        if np.any(w < 0) or np.any(r <= 0):
-            raise ValueError("weights must be >= 0 and rates > 0")
-        # sort by rate, each weight staying with its rate
-        order = np.argsort(r, kind="stable")
-        object.__setattr__(self, "weights", w[order])
-        object.__setattr__(self, "rates", r[order])
+        if r.ndim != 1 or r.size == 0:
+            raise ValueError("rates must be a non-empty 1-d array")
+        if not self.weight >= 0 or np.any(r <= 0):
+            raise ValueError("weight must be >= 0 and rates > 0")
+        object.__setattr__(self, "weight", float(self.weight))
+        object.__setattr__(self, "rates", np.sort(r))
         # the integral's tail depends on the stored modes only: warn once, naming
         # the line that built the kernel
         tail = self._integral_tail() if self.rate_exponent > 1.0 else 0.0
@@ -179,20 +153,19 @@ class ModeSeriesKernel:
             warnings.warn(f"mode-series integral tail bound {tail:.2e} above tolerance; "
                           "store more modes", stacklevel=3)
 
-    def _tail_env(self):
-        """Conservative envelope w_m <= w_env, r_m >= kappa m^p past M."""
-        M = self.weights.size
+    def _kappa(self) -> float:
+        """Envelope r_m >= kappa m^p past the M stored modes, fit on the second half of them."""
+        M = self.rates.size
         half = max(1, M // 2)
         m = np.arange(1, M + 1, dtype=float)
         with np.errstate(divide="ignore"):
-            kappa = float(np.min(self.rates[half - 1 :] / m[half - 1 :] ** self.rate_exponent))
-        return float(np.max(self.weights)), kappa
+            return float(np.min(self.rates[half - 1 :] / m[half - 1 :] ** self.rate_exponent))
 
     def value(self, t):
         t = _time(t, positive=True)
-        w_env, kappa = self._tail_env()
-        head = float(np.sum(self.weights * np.exp(-self.rates * t)))
-        tail = _exp_series_tail(w_env, kappa * t, self.rate_exponent, self.weights.size)
+        head = float(np.sum(self.weight * np.exp(-self.rates * t)))
+        tail = _exp_series_tail(self.weight, self._kappa() * t, self.rate_exponent,
+                                self.rates.size)
         if tail > TRUNCATION_TOL:  # name the calling line
             warnings.warn(f"mode-series tail bound {tail:.2e} above tolerance at t={t}; "
                           "store more modes", stacklevel=2)
@@ -201,30 +174,30 @@ class ModeSeriesKernel:
     def integral(self, t):
         if self.rate_exponent <= 1.0:
             raise ValueError("mode-series time integral diverges (rate growth too slow)")
-        return _mode_integral(self.weights, self.rates, _time(t))
+        return _mode_integral(self.weight, self.rates, _time(t))
 
     def _integral_tail(self) -> float:
-        w_env, kappa = self._tail_env()
         q = self.rate_exponent
-        return w_env / kappa * self.weights.size ** (1.0 - q) / (q - 1.0)
+        return self.weight / self._kappa() * self.rates.size ** (1.0 - q) / (q - 1.0)
 
     def integral_to_inf(self) -> float:
         if self.rate_exponent <= 1.0:
             return math.inf
-        head = float(np.sum(self.weights / self.rates))
+        head = float(np.sum(self.weight / self.rates))
         return head + 0.5 * self._integral_tail()
 
     def epsilon_integral(self, eps: float) -> tuple[bool, float]:
         from scipy import special
 
-        _check_eps(eps)
+        if not 0.0 < eps < 1.0:
+            raise ValueError("eps must lie in (0, 1)")
         q = self.rate_exponent * (1.0 - eps)
         if q <= 1.0:
             return False, math.inf
         g = special.gamma(1.0 - eps)
-        terms = self.weights * self.rates ** (eps - 1.0) * g * special.gammainc(1.0 - eps, self.rates)
-        w_env, kappa = self._tail_env()
-        tail = w_env * g * kappa ** (eps - 1.0) * self.weights.size ** (1.0 - q) / (q - 1.0)
+        terms = self.weight * self.rates ** (eps - 1.0) * g * special.gammainc(1.0 - eps, self.rates)
+        tail = (self.weight * g * self._kappa() ** (eps - 1.0) * self.rates.size ** (1.0 - q)
+                / (q - 1.0))
         return True, float(terms.sum()) + 0.5 * tail
 
 
@@ -283,13 +256,21 @@ class RegularityProfile:
         object.__setattr__(self, "t0_exact", exact)
 
 
+def _six_to(x: float) -> float:
+    """6^x, or inf where it overflows a float."""
+    try:
+        return 6.0**x
+    except OverflowError:
+        return math.inf
+
+
 def gradient_constant(t: float, t0: float) -> float:
     """6^{1 + t/t0}; the constant collapses to 6 for t0 = inf."""
     if t < 0:
         raise ValueError("t must be non-negative")
     if math.isinf(t0):
         return 6.0
-    return 6.0 ** (1.0 + t / t0)
+    return _six_to(1.0 + t / t0)
 
 
 def logharnack_constant(t: float, t0: float, lambda_sigma: float) -> float:
@@ -311,24 +292,4 @@ def poincare_constant(t: float, t0: float, lambda_bar: float) -> float:
         raise ValueError("Poincare constant needs an upper ellipticity bound lambda_bar")
     if math.isinf(t0):
         return 12.0 * lambda_bar * t
-    return 12.0 * lambda_bar * t0 * (6.0 ** (t / t0) - 1.0) / LOG6
-
-
-def logharnack_constant_from_phi(t0: float, t: float, lambda_sigma: float) -> float:
-    """Log-Harnack constant re-derived by quadrature of the gradient envelope.
-
-    With Phi(s) = 6^{1+s/t0}, the constant is 1 / (2 lambda int_0^t Phi(s)^{-1} ds).
-    Must agree with :func:`logharnack_constant` to quadrature accuracy.
-    """
-    from scipy import integrate
-
-    if t <= 0:
-        raise ValueError("t must be positive")
-    if math.isinf(t0):
-        integrand = lambda s: 1.0 / 6.0  # noqa: E731
-    else:
-        integrand = lambda s: 6.0 ** (-(1.0 + s / t0))  # noqa: E731
-    val, err = integrate.quad(integrand, 0.0, t, epsabs=1e-14, epsrel=1e-12, limit=200)
-    if not np.isfinite(val) or val <= 0 or err > max(1e-10, 1e-8 * val):
-        raise ValueError("quadrature of the gradient envelope did not converge")
-    return 1.0 / (2.0 * lambda_sigma * val)
+    return 12.0 * lambda_bar * t0 * (_six_to(t / t0) - 1.0) / LOG6

@@ -275,7 +275,7 @@ def build_callbacks(model: ReactionDiffusionModel) -> ReactionCallbacks:
 def exact_Ksigma(model: ReactionDiffusionModel) -> ModeSeriesKernel:
     """Exact per-mode diffusion-smoothing kernel for the rectangle.
 
-    K_sigma(t) = sum_m w_m e^{-r_m t} with w_m = c_phi^2 prod_i (2/L_i)
+    K_sigma(t) = w sum_m e^{-r_m t} with the one weight w = c_phi^2 prod_i (2/L_i)
     (the squared sup-norm of every rectangle eigenfunction) and r_m = 2 lambda_m,
     over the first max(4096, 4n) modes of ``EigenSpectrum.synthesize``, so its
     first n rates are twice the model's Galerkin eigenvalues bit for bit.
@@ -284,7 +284,7 @@ def exact_Ksigma(model: ReactionDiffusionModel) -> ModeSeriesKernel:
     w0 = c**2 * float(np.prod(2.0 / model.domain.lengths))
     n_modes = max(4096, 4 * model.n)
     rates = 2.0 * EigenSpectrum.synthesize(model.domain, model.alpha, n_modes).lambdas
-    return ModeSeriesKernel(weights=np.full(n_modes, w0), rates=rates,
+    return ModeSeriesKernel(weight=w0, rates=rates,
                             rate_exponent=2.0 * model.alpha / model.domain.d)
 
 

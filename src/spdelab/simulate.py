@@ -87,6 +87,9 @@ def _parts(total: int, most: int) -> list[tuple[int, int]]:
     return [(i * total // count, (i + 1) * total // count) for i in range(count)]
 
 
+# a path that overflows makes inf or nan; the once-per-chunk finiteness check below names
+# it, so numpy's overflow and invalid-value warnings would only repeat that on stderr
+@np.errstate(over="ignore", invalid="ignore")
 def simulate_batch(x0: np.ndarray, path_ids, cfg: SchemeConfig, lambdas: np.ndarray,
                    cb, noise: NoiseStream, *,
                    y0: np.ndarray | None = None, v: np.ndarray | None = None,

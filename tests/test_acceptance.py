@@ -13,7 +13,7 @@ from spdelab import presets
 from spdelab.cli import main
 from spdelab.functionals import constant, sin_coordinate
 from spdelab.kernels import (ConstantKernel, RegularityProfile, logharnack_constant,
-                             logharnack_constant_from_phi, PowerSeriesKernel)
+                             PowerSeriesKernel)
 from spdelab.montecarlo import MonteCarlo, plateau_verdict
 from spdelab.noise import NoiseStream
 from spdelab.reaction import (ReactionDiffusionModel, ScalarFunctionSpec,
@@ -21,6 +21,8 @@ from spdelab.reaction import (ReactionDiffusionModel, ScalarFunctionSpec,
                               exact_Ksigma)
 from spdelab.simulate import SchemeConfig, diagonal_constant_diffusion, ou_exact, simulate_batch
 from spdelab.spectral import unit_interval
+
+from oracles import logharnack_constant_from_phi, steep_growth_epsilon_integral
 
 
 def report(name: str, ok: bool, detail: str = ""):
@@ -175,8 +177,8 @@ def test_criterion_7_alpha_threshold():
                                    phi=ScalarFunctionSpec.sin_perturbed(1.0, 0.1, 1.0),
                                    n=8, quad_points=32)
     finite_rect, value_rect = exact_Ksigma(model).epsilon_integral(0.5)
-    finite_ka, value_ka = PowerSeriesKernel(
-        C=1.0, delta=1.0, p=2.0, mode_factor=True).epsilon_integral(0.5)
+    finite_ka, value_ka = steep_growth_epsilon_integral(PowerSeriesKernel(
+        C=1.0, delta=1.0, p=2.0, mode_factor=True), 0.5)
     ok = finite_rect and math.isfinite(value_rect) and not finite_ka and value_ka == math.inf
     report("criterion 7: integrability dichotomy across the smoothing threshold",
            ok, f"rectangle value {value_rect:.4g}; steep-growth form divergent")

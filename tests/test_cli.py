@@ -45,6 +45,28 @@ lambdas = 1 2 3 4
 phi0 = 1.0
 """
 
+# a drift slope of 1e150 makes t0 so small that 6^{t/t0} overflows a float
+STEEP_DRIFT_MODEL = """
+[model]
+kind = reaction_diffusion
+[domain]
+d = 1
+side_0 = 0 1
+[alpha]
+value = 2.0
+[psi]
+form = affine
+a = 1e150
+b = 0.0
+[phi]
+form = affine
+a = 0.0
+b = 1.0
+[galerkin]
+n = 16
+quad_points = 64
+"""
+
 
 @pytest.fixture
 def rd_model_file(tmp_path):
@@ -125,6 +147,15 @@ class TestConstants:
         assert row["gradient_constant"] == 6.0
         assert row["logharnack_constant"] == pytest.approx(1.5)
         assert row["poincare_constant"] == pytest.approx(24.0)
+
+    def test_overflowing_constants_are_inf(self, tmp_path):
+        model = tmp_path / "steep.ini"
+        model.write_text(STEEP_DRIFT_MODEL)
+        out = tmp_path / "c.json"
+        assert main(["constants", "--model", str(model), "--out", str(out)]) == 0
+        for row in json.loads(out.read_text())["rows"]:
+            if row["t"] > 0:
+                assert row["gradient_constant"] == row["poincare_constant"] == "inf"
 
     def test_byte_identical_reruns(self, rd_model_file, tmp_path):
         outs = []
@@ -481,11 +512,12 @@ phi0 = 1e90
 def _run_at_huge_start(argv, tmp_path, x="1e160*ones", v="e1", **extra):
     # per-path values are so large that they, or their squares, overflow; run
     # as a process so that numpy warnings would show on stderr, in tmp_path,
-    # which holds NOISY_OU_MODEL as noisy-ou.ini
+    # which holds NOISY_OU_MODEL as noisy-ou.ini and STEEP_DRIFT_MODEL as steep.ini
     base = dict(x=x, v=v, m="20", t="0.05", t_end="0.05", checkpoints="2", dt="1e-2",
                 n_list="2 4", bign="8", f="coord1")
     cfg = write_experiment(tmp_path, **{**base, **extra})
     (tmp_path / "noisy-ou.ini").write_text(NOISY_OU_MODEL)
+    (tmp_path / "steep.ini").write_text(STEEP_DRIFT_MODEL)
     out = tmp_path / "out"
     proc = subprocess.run([sys.executable, "-m", "spdelab.cli", *argv, "--config", cfg,
                            "--out", str(out)], capture_output=True, text=True, env=_env(),
@@ -501,11 +533,13 @@ def _run_at_huge_start(argv, tmp_path, x="1e160*ones", v="e1", **extra):
     (["invariant", "--model", "noisy-ou.ini"], dict(x="zeros")),
     (["check", "gradient", "--model", "preset:ou8"], dict(x="zeros", v="1e200*e1")),
     (["check", "variance", "--model", "preset:ou8"], dict(x="zeros", v="1e200*e1")),
+    (["check", "gradient", "--model", "steep.ini"], dict(x="zeros")),
 ], ids=["converge", "invariant", "poincare", "converge-moments", "invariant-moments",
-        "gradient-huge-v", "variance-huge-v"])
+        "gradient-huge-v", "variance-huge-v", "gradient-steep-drift"])
 def test_nonfinite_estimate_exits_3(argv, cfg, tmp_path):
     # at 1e160 |x|^2 overflows per path; under noise 1e90 only the squares the
-    # variance sums do.  A huge v makes the squared directional derivative overflow
+    # variance sums do.  A huge v makes the squared directional derivative overflow,
+    # and a drift slope of 1e150 the state itself, with no numpy warning on the way
     proc, out = _run_at_huge_start(argv, tmp_path, **cfg)
     assert proc.returncode == 3
     assert proc.stderr.startswith("numerical failure: ")
@@ -545,10 +579,9 @@ def test_package_import_loads_no_submodule():
     assert proc.returncode == 0, proc.stderr
 
 
-# defined in src/ and named by no program line, only by tests: the quadrature
-# form of the log-Harnack constant, the independent reference that the closed
-# form in ``kernels.logharnack_constant`` is checked against (README, criterion 1)
-_TEST_ONLY_ALLOWED = {"logharnack_constant_from_phi"}
+# defined in src/ and named by no program line, only by tests: nothing (the
+# references that tests check the program against live in tests/oracles.py)
+_TEST_ONLY_ALLOWED = set()
 
 
 def test_src_defines_nothing_only_tests_reach():

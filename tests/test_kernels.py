@@ -13,16 +13,16 @@ import spdelab
 from spdelab import presets
 from spdelab.kernels import (ConstantKernel, ModeSeriesKernel,
                              PowerSeriesKernel, RegularityProfile, gradient_constant,
-                             logharnack_constant, logharnack_constant_from_phi,
-                             poincare_constant)
+                             logharnack_constant, poincare_constant)
+
+from oracles import logharnack_constant_from_phi
 
 LOG6 = math.log(6.0)
 
 
 def mode_series_d1(c: float, alpha: float, n_modes: int = 4096) -> ModeSeriesKernel:
     m = np.arange(1, n_modes + 1, dtype=float)
-    return ModeSeriesKernel(weights=np.full(n_modes, 2 * c**2),
-                            rates=2 * (m * np.pi) ** (2 * alpha),
+    return ModeSeriesKernel(weight=2 * c**2, rates=2 * (m * np.pi) ** (2 * alpha),
                             rate_exponent=2 * alpha)
 
 
@@ -97,7 +97,7 @@ def test_integral_tail_warned_once():
         "import numpy as np",
         "from spdelab.kernels import ModeSeriesKernel",
         "m = np.arange(1, 4097, dtype=float)",
-        "k = ModeSeriesKernel(weights=np.ones(4096), rates=2 * (m * np.pi) ** 1.2,",
+        "k = ModeSeriesKernel(weight=1.0, rates=2 * (m * np.pi) ** 1.2,",
         "                     rate_exponent=1.2)",
         "k.integral(0.1), k.value(0.1), k.integral(0.2)",
     ])
@@ -111,20 +111,21 @@ def test_integral_tail_warned_once():
 
 
 def test_unsorted_rates_keep_their_weights():
-    # the kernel sorts by rate; each weight must move with its rate
+    # the kernel sorts its rates, which the tail envelope reads in order; the one weight
+    # belongs to every rate
     with pytest.warns(UserWarning, match="tail bound"):  # two modes leave a large tail
-        unsorted = ModeSeriesKernel(weights=[1.0, 100.0], rates=[10.0, 1.0], rate_exponent=3.0)
-        ordered = ModeSeriesKernel(weights=[100.0, 1.0], rates=[1.0, 10.0], rate_exponent=3.0)
+        unsorted = ModeSeriesKernel(weight=2.0, rates=[10.0, 1.0], rate_exponent=3.0)
+        ordered = ModeSeriesKernel(weight=2.0, rates=[1.0, 10.0], rate_exponent=3.0)
         for method, arg in ((ModeSeriesKernel.value, 0.5), (ModeSeriesKernel.integral, 1.0),
                             (ModeSeriesKernel.epsilon_integral, 0.5)):
             assert method(unsorted, arg) == method(ordered, arg)
     assert unsorted.integral_to_inf() == ordered.integral_to_inf()
-    assert unsorted.integral(1.0) == pytest.approx(100 * -math.expm1(-1) + 0.1 * -math.expm1(-10))
+    assert unsorted.integral(1.0) == pytest.approx(2 * -math.expm1(-1) + 0.2 * -math.expm1(-10))
 
 
 def test_value_tail_warning_names_calling_line():
     # rates growing like m leave a value tail far above tolerance at every t
-    k = ModeSeriesKernel(weights=np.ones(8), rates=np.arange(1.0, 9.0), rate_exponent=1.0)
+    k = ModeSeriesKernel(weight=1.0, rates=np.arange(1.0, 9.0), rate_exponent=1.0)
     with warnings.catch_warnings(record=True) as rec:
         warnings.simplefilter("always")
         line = inspect.currentframe().f_lineno + 1
@@ -198,6 +199,14 @@ class TestConstants:
         assert poincare_constant(3.0, math.inf, 1.0) == pytest.approx(36.0, rel=1e-15)
         assert poincare_constant(1.0, 1.0, 1.0) == pytest.approx(60.0 / LOG6, rel=1e-14)
 
+    def test_overflowing_power_is_inf(self):
+        # 6^{1+t/t0} overflows a float once t/t0 passes about 395
+        assert gradient_constant(1.0, 1e-300) == math.inf
+        assert poincare_constant(1.0, 1e-300, 1.0) == math.inf
+        t0 = 1.0 / 390
+        assert gradient_constant(1.0, t0) == 6.0 ** (1.0 + 1.0 / t0)
+        assert poincare_constant(1.0, t0, 2.0) == 24.0 * t0 * (6.0 ** (1.0 / t0) - 1.0) / LOG6
+
     def test_logharnack_rejects_t_zero(self):
         with pytest.raises(ValueError, match=r"the log-Harnack constant needs t > 0"):
             logharnack_constant(0.0, 1.0, 1.0)
@@ -262,35 +271,6 @@ class TestLogHarnackFromPhi:
                     q = logharnack_constant_from_phi(t0, t, lam)
                     c = logharnack_constant(t, t0, lam)
                     assert q == pytest.approx(c, rel=1e-8)
-
-
-class TestEpsilonIntegrability:
-    def test_kb_form_finite(self):
-        finite, value = PowerSeriesKernel(C=1.0, delta=1.0, p=4.0).epsilon_integral(0.5)
-        assert finite and math.isfinite(value)
-
-    def test_ka_form_divergent(self):
-        finite, value = PowerSeriesKernel(
-            C=1.0, delta=1.0, p=2.0, mode_factor=True).epsilon_integral(0.25)
-        assert not finite
-        assert value == math.inf
-
-    def test_power_series_values_pinned(self):
-        # the first parameters leave a tail above 1e-9 after the first block
-        # of 2048 terms, so they also take the doubling blocks
-        assert PowerSeriesKernel(C=1.0, delta=1.0, p=4.0).epsilon_integral(0.5)[1] \
-            == 2.636764023512086
-        assert PowerSeriesKernel(C=2.0, delta=0.5, p=3.0).epsilon_integral(0.2)[1] \
-            == 3.5690772564109574
-
-    def test_quadrature_crosscheck(self):
-        from scipy.integrate import quad
-        k = PowerSeriesKernel(C=1.0, delta=1.0, p=4.0)
-        eps = 0.5
-        ref, _ = quad(lambda u: power_series_value(1.0, 1.0, 4.0, u ** (1 / (1 - eps)))
-                      / (1 - eps), 0.0, 1.0, limit=200)
-        _, value = k.epsilon_integral(eps)
-        assert value == pytest.approx(ref, rel=1e-7)
 
 
 class TestProfileValidation:

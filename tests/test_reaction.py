@@ -11,6 +11,8 @@ from spdelab.reaction import (ReactionDiffusionModel, ScalarFunctionSpec,
                               spot_check_lipschitz, spot_check_square_bounds)
 from spdelab.spectral import RectDomain, unit_interval
 
+from oracles import steep_growth_epsilon_integral
+
 
 def make_model(psi, phi_spec, n=8, q=32, alpha=2.0, domain=None):
     return ReactionDiffusionModel(domain=domain or unit_interval(), alpha=alpha,
@@ -314,7 +316,7 @@ class TestAlphaThreshold:
     def test_ka_form_at_alpha_equals_d(self):
         from spdelab.kernels import PowerSeriesKernel
         k = PowerSeriesKernel(C=1.0, delta=1.0, p=2.0, mode_factor=True)
-        finite, value = k.epsilon_integral(0.3)
+        finite, value = steep_growth_epsilon_integral(k, 0.3)
         assert not finite and value == math.inf
 
 

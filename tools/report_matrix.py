@@ -10,9 +10,11 @@ pair and names each pair that differs: a report must not depend on
 ``--threads``.  It compares each batch-size twin (a case rerun with only
 ``batch_size`` changed, named ``<case>_<twin config>``) with its case and names
 each twin whose stdout or exit code differs: ``batch_size`` only splits the
-work.  It also names each case whose stderr holds a Python traceback: every
-failure must end in an exit code and a one-line message, and an uncaught
-exception exits 1, the code of a failed gate.  Any finding makes it exit 1.
+work.  It also names each case whose stderr holds a Python traceback or a numpy
+``RuntimeWarning``: every failure must end in an exit code and a one-line
+message, an uncaught exception exits 1, the code of a failed gate, and a
+warning only repeats on stderr what the failure line names.  Any finding makes
+it exit 1.
 
 Every command runs on ``preset:rd16`` and ``preset:ou8`` at ``--threads`` 1
 and 2, once with a small experiment and once started at ``x = 1e160*ones``
@@ -33,7 +35,10 @@ stream uses), and ``t_end = 0.25``, ``dt = 0.1`` on ``invariant`` (which runs an
 two steps of dt = 0.125); ``check gradient`` runs on ``rd16`` and ``ou8`` with the removed key
 ``scheme = euler_maruyama`` and on ``ou8`` with the removed key ``k = 4.0`` (each exits 2
 naming the key), and ``constants`` reads a model file with ``[galerkin] n = 1.5`` and one
-with ``[phi] amp = 1e200``, whose square overflows (each exits 2).  One
+with ``[phi] amp = 1e200``, whose square overflows (each exits 2).  ``constants`` and
+``check gradient`` run on a model file with the drift slope ``[psi] a = 1e150``, which
+makes 6^{t/t0} overflow a float (``constants`` writes those constants as "inf") and the
+state overflow within a few steps (``check gradient`` exits 3).  One
 ``constants`` case on ``ou8`` writes to ``--out missing/report.json``, whose directory does
 not exist (it exits 2).  Each case gets a directory holding ``stdout``, ``stderr`` and
 ``exit_code``.
@@ -137,9 +142,31 @@ n = 8
 quad_points = 16
 """
 
+# a drift slope of 1e150 leaves t0 so small that 6^{t/t0} overflows a float
+STEEP_MODEL = """[model]
+kind = reaction_diffusion
+[domain]
+d = 1
+side_0 = 0 1
+[alpha]
+value = 2.0
+[psi]
+form = affine
+a = 1e150
+b = 0.0
+[phi]
+form = affine
+a = 0.0
+b = 1.0
+[galerkin]
+n = 16
+quad_points = 64
+"""
+
 MODEL_FILES = {"alpha06.ini": SLOW_TAIL_MODEL, "ou.ini": OU_MODEL, "rd2d.ini": RD2D_MODEL,
                "floatn.ini": SLOW_TAIL_MODEL.replace("n = 8", "n = 1.5"),
-               "bigamp.ini": SLOW_TAIL_MODEL.replace("amp = 0.1", "amp = 1e200")}
+               "bigamp.ini": SLOW_TAIL_MODEL.replace("amp = 0.1", "amp = 1e200"),
+               "steep.ini": STEEP_MODEL}
 
 COMMANDS = (["validate"], ["constants"], ["check", "gradient"], ["check", "logharnack"],
             ["check", "variance"], ["check", "poincare"], ["check", "flowbound"],
@@ -176,6 +203,9 @@ def _cases():
                cmd + ["--model", f"preset:{model}", "--threads", "1"], cfg)
     yield "constants_floatn-file_small_t1", ["constants", "--model", "floatn.ini"], "small"
     yield "constants_bigamp-file_small_t1", ["constants", "--model", "bigamp.ini"], "small"
+    yield "constants_steep-file_small_t1", ["constants", "--model", "steep.ini"], "small"
+    yield ("check-gradient_steep-file_small_t1",
+           ["check", "gradient", "--model", "steep.ini", "--threads", "1"], "small")
     yield ("constants_ou8_unwritable-out_t1",
            ["constants", "--model", "preset:ou8", "--out", "missing/report.json"], "small")
 
@@ -197,7 +227,7 @@ def main(argv=None) -> int:
     src = str(Path(args.src).resolve())
     out = Path(args.out)
     env = dict(os.environ, PYTHONPATH=src)
-    printed, exits, crashed = {}, {}, []
+    printed, exits, crashed, warned = {}, {}, [], []
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         write_inputs(work)
@@ -214,6 +244,8 @@ def main(argv=None) -> int:
             printed[name], exits[name] = proc.stdout, proc.returncode
             if "Traceback (most recent call last)" in proc.stderr:
                 crashed.append(name)
+            if "RuntimeWarning" in proc.stderr:
+                warned.append(name)
             print(f"{proc.returncode} {name}", flush=True)
     differ = [name for name in printed if name.endswith("_t1")
               and name[:-1] + "2" in printed and printed[name] != printed[name[:-1] + "2"]]
@@ -226,7 +258,9 @@ def main(argv=None) -> int:
               file=sys.stderr)
     for name in crashed:
         print(f"traceback in the stderr of {name}", file=sys.stderr)
-    return 1 if differ or split or crashed else 0
+    for name in warned:
+        print(f"RuntimeWarning in the stderr of {name}", file=sys.stderr)
+    return 1 if differ or split or crashed or warned else 0
 
 
 if __name__ == "__main__":
