@@ -173,7 +173,7 @@ _KEYS = {
     "n_list": ("4 8 16 32",
                lambda raw, key: [_count(v, key) for v in raw.replace(",", " ").split()]),
     "bign": ("64", _count), "eps0": ("1.0", _number), "c0": ("2.0", _number),
-    "eps": ("0.5", _number), "batch_size": ("4096", _count),
+    "eps": ("0.5", _number),
 }
 
 
@@ -246,10 +246,16 @@ def _csv_report(out_path: str | None, header: str, rows):
     _write(out_path, header + "\n" + "".join(",".join(map(cell, row)) + "\n" for row in rows))
 
 
-def _make_mc(cfg: dict, lambdas: np.ndarray, callbacks) -> MonteCarlo:
-    noise = NoiseStream(seed=cfg["seed"], width=lambdas.size)
-    return MonteCarlo(lambdas, callbacks, noise, dt=cfg["dt"],
-                      threads=cfg["threads"], batch_size=cfg["batch_size"])
+# A block runs at most _BLOCK_PATHS paths and _BLOCK_FLOATS floats (2 MB) per (paths, g) field,
+# g being one path's widest per-step array: the q^d quadrature grid, or an OU model's modes.
+_BLOCK_PATHS, _BLOCK_FLOATS = 4096, 2**18
+
+
+def _make_mc(cfg: dict, model: Model) -> MonteCarlo:
+    g = model.quad_points**model.domain.d if isinstance(model, ReactionDiffusionModel) else model.n
+    return MonteCarlo(model.lambdas, model.callbacks, NoiseStream(seed=cfg["seed"], width=model.n),
+                      dt=cfg["dt"], threads=cfg["threads"],
+                      batch_size=max(1, min(_BLOCK_PATHS, _BLOCK_FLOATS // g)))
 
 
 # -- commands --------------------------------------------------------------------
@@ -317,7 +323,7 @@ def cmd_constants(model: Model, cfg: dict, args) -> int:
 
 def cmd_check(model: Model, cfg: dict, args) -> int:
     profile = model.profile()
-    mc = _make_mc(cfg, model.lambdas, model.callbacks)
+    mc = _make_mc(cfg, model)
     f, t, M = cfg["f"], cfg["t"][0], cfg["m"]
     x, y, v = (_vector(cfg[key], model.n, key) for key in ("x", "y", "v"))
     which = args.which
@@ -343,19 +349,19 @@ def cmd_check(model: Model, cfg: dict, args) -> int:
 
 def cmd_converge(model: Model, cfg: dict, args) -> int:
     N = cfg["bign"]
-    if isinstance(model, ReactionDiffusionModel):
-        def build(n):
-            sub = dataclasses.replace(model, n=n, quad_points=max(model.quad_points, 2 * N))
-            return sub.lambdas, sub.callbacks
-    else:
-        if model.n < N:
+
+    def level(n):  # the n-mode system; a reaction-diffusion one on the N-level grid
+        if isinstance(model, ReactionDiffusionModel):
+            return dataclasses.replace(model, n=n, quad_points=max(model.quad_points, 2 * N))
+        if model.n < n:
             raise ValueError(f"OU preset has {model.n} modes, need N = {N}")
-        cb = model.callbacks
+        return presets.OUPreset(model.lambdas[:n], model.phi0)
 
-        def build(n):
-            return model.lambdas[:n], cb
+    def build(n):
+        sub = level(n)
+        return sub.lambdas, sub.callbacks
 
-    mc = _make_mc(cfg, *build(N))
+    mc = _make_mc(cfg, level(N))
     x0 = _vector(cfg["x"], N, "x")
     rows = mc.convergence_study(build, cfg["n_list"], N, x0, cfg["t"][0], cfg["m"])
     _csv_report(args.out, "n,error,stderr", rows)
@@ -365,7 +371,7 @@ def cmd_converge(model: Model, cfg: dict, args) -> int:
 def cmd_invariant(model: Model, cfg: dict, args) -> int:
     t_end, n_checks, M = cfg["t_end"], cfg["checkpoints"], cfg["m"]
     checkpoints = [t_end * (i + 1) / n_checks for i in range(n_checks)] if t_end > 0 else [0.0]
-    mc = _make_mc(cfg, model.lambdas, model.callbacks)
+    mc = _make_mc(cfg, model)
     out: dict = {"model": args.model.removeprefix("preset:"), "M": M,
                  "dt": SchemeConfig(cfg["dt"], t_end).realized_dt, "seed": mc.noise.seed}
     if isinstance(model, ReactionDiffusionModel):

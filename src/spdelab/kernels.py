@@ -4,7 +4,11 @@ The drift and diffusion coefficients come with smoothing kernels K_b, K_sigma
 controlling how much the semigroup contracts their Lipschitz action.  The
 running integrals phi(t) = int_0^t K(s) ds determine a critical time t0 (the
 largest t with phi_b + phi_sigma <= 1/6), and t0 in turn fixes every constant
-in the gradient, log-Harnack, variance and Poincare bounds.
+in the gradient, log-Harnack, variance and Poincare bounds.  With a drift (K_b not 0), t0
+is at most 1: in the mild form J_t = e^{-At} v + int_0^t e^{-A(t-s)} Db J_s ds + (Ito term),
+Cauchy-Schwarz bounds the drift term's square by (int_0^t sqrt(K_b))^2 sup_s E|J_s|^2, and
+(int_0^t sqrt(K_b))^2 <= t phi_b(t) <= phi_b(t) for t <= 1 only (K_b = c^2 gives (ct)^2);
+Ito's isometry bounds the Ito term by phi_sigma, with no such factor.
 
 A profile pairs the two forms a model builds (no shared base class); ``Kernel`` is their union:
 
@@ -142,8 +146,8 @@ class ModeSeriesKernel:
         r = np.asarray(self.rates, dtype=float)
         if r.ndim != 1 or r.size == 0:
             raise ValueError("rates must be a non-empty 1-d array")
-        if not self.weight >= 0 or np.any(r <= 0):
-            raise ValueError("weight must be >= 0 and rates > 0")
+        if not 0 <= self.weight < math.inf or np.any(r <= 0):
+            raise ValueError(f"weight must be finite and >= 0 (got {self.weight}) and rates > 0")
         object.__setattr__(self, "weight", float(self.weight))
         object.__setattr__(self, "rates", np.sort(r))
         # the integral's tail depends on the stored modes only: warn once, naming
@@ -204,7 +208,7 @@ class ModeSeriesKernel:
 Kernel = ConstantKernel | ModeSeriesKernel
 
 T0_HORIZON = 1e9
-_T0_TOL = 1e-12
+_T0_TOL, _T0_RTOL = 1e-12, 1e-9  # t0's bisection bracket ends this wide, absolute and relative
 
 
 def _t0_from_kernels(kb: Kernel, ksigma: Kernel) -> tuple[float, bool]:
@@ -212,6 +216,9 @@ def _t0_from_kernels(kb: Kernel, ksigma: Kernel) -> tuple[float, bool]:
     def total(t):
         return kb.integral(t) + ksigma.integral(t)
 
+    # with a drift the bounds hold for t <= 1 only (module docstring)
+    if kb.integral(1.0) > 0 and total(1.0) <= PHI_BUDGET:
+        return 1.0, True
     limit = kb.integral_to_inf() + ksigma.integral_to_inf()
     if limit <= PHI_BUDGET:
         return math.inf, True
@@ -223,14 +230,15 @@ def _t0_from_kernels(kb: Kernel, ksigma: Kernel) -> tuple[float, bool]:
                 "phi_b + phi_sigma stayed below 1/6 up to the search horizon; "
                 "reporting t0 = inf from the horizon only", stacklevel=2)
             return math.inf, False
-    # bisection: total is continuous and non-decreasing
-    while hi - lo > _T0_TOL:
-        mid = 0.5 * (lo + hi)
+    # bisection: total is continuous and non-decreasing; it also ends at adjacent floats
+    mid = 0.5 * (lo + hi)
+    while hi - lo > min(_T0_TOL, _T0_RTOL * hi) and lo < mid < hi:
         if total(mid) <= PHI_BUDGET:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi), True
+        mid = 0.5 * (lo + hi)
+    return mid, True
 
 
 @dataclass(frozen=True)

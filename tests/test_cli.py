@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import spdelab
-from spdelab.cli import load_model, main
+from spdelab.cli import _make_mc, load_model, main
 from spdelab.montecarlo import MonteCarlo
 from spdelab.noise import NoiseStream
 from spdelab.simulate import SchemeConfig, simulate_batch
@@ -65,6 +65,31 @@ b = 1.0
 [galerkin]
 n = 16
 quad_points = 64
+"""
+
+
+# a 2-d rectangle; at quad_points = 64 one path's field holds 64^2 = 4096 floats
+RD2D_MODEL = """
+[model]
+kind = reaction_diffusion
+[domain]
+d = 2
+side_0 = 0 1
+side_1 = 0 2
+[alpha]
+value = 1.5
+[psi]
+form = affine
+a = -0.5
+b = 0.1
+[phi]
+form = sin_perturbed
+c0 = 1.0
+amp = 0.1
+freq = 1.0
+[galerkin]
+n = 8
+quad_points = 16
 """
 
 
@@ -211,6 +236,44 @@ class TestCheck:
         assert outs[0] == outs[1]
 
 
+class TestBlocks:
+    @pytest.mark.parametrize("model, paths", [
+        ("preset:rd16", 4096), ("preset:ou8", 4096),
+        # 1-d grids of 32 and 64 points, and 8 OU modes
+        (RD_MODEL.replace("value = 2.0", "value = 0.6"), 4096), (STEEP_DRIFT_MODEL, 4096),
+        (OU_MODEL.replace("1 2 3 4", "0.5 1 1.5 2 2.5 3 3.5 4"), 4096),
+        (RD2D_MODEL, 1024), (RD2D_MODEL.replace("quad_points = 16", "quad_points = 64"), 64),
+    ], ids=["rd16", "ou8", "alpha06", "steep", "ou-file", "rd2d", "rd2d-q64"])
+    def test_block_paths_follow_the_grid(self, model, paths, tmp_path):
+        # min(4096, 2^18 / g) paths, g the floats in one path's widest per-step array
+        if not model.startswith("preset:"):
+            (tmp_path / "model.ini").write_text(model)
+            model = str(tmp_path / "model.ini")
+        mc = _make_mc({"seed": 1, "dt": 1e-3, "threads": 1}, load_model(model))
+        assert mc.batch_size == paths
+
+    def test_2d_check_memory_is_bounded(self, tmp_path):
+        # 4096 paths on a 4096-point grid run as 64 blocks of 64 paths; the child
+        # process reports its own peak RSS (kB), which blocks of 4096 paths put near 800 MB
+        model = tmp_path / "rd2d.ini"
+        model.write_text(RD2D_MODEL.replace("quad_points = 16", "quad_points = 64"))
+        cfg = write_experiment(tmp_path, m="4096", t="2e-3", dt="1e-3")
+        code = ("import resource, sys\n"
+                "from spdelab.cli import main\n"
+                "code = main(sys.argv[1:])\n"
+                "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n"
+                "sys.exit(code)\n")
+        outs = []
+        for threads in ("1", "2"):
+            proc = subprocess.run([sys.executable, "-c", code, "check", "gradient", "--model",
+                                   str(model), "--config", cfg, "--threads", threads],
+                                  capture_output=True, text=True, env=_env())
+            assert proc.returncode == 0, proc.stderr
+            assert int(proc.stderr.splitlines()[-1]) < 200 * 1024
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1]
+
+
 class TestConverge:
     def test_ou_csv(self, tmp_path):
         cfg = write_experiment(tmp_path, t="0.3", m="200", n_list="2 4 8",
@@ -342,10 +405,11 @@ def test_unwritable_out_exits_2(argv, tmp_path, capsys, monkeypatch):
     (["check", "gradient", "--model", "preset:ou8"], dict(t="", m="10"), "'t'"),
     (["converge", "--model", "preset:ou8"], dict(t="", bign="8", n_list="2 4", m="10"), "'t'"),
     (["check", "gradient", "--model", "preset:ou8"], dict(batch_size="-1", m="10"),
-     "batch_size"),
-    (["invariant", "--model", "preset:ou8"], dict(batch_size="-1", m="10"), "batch_size"),
+     "unknown experiment key 'batch_size'"),
+    (["invariant", "--model", "preset:ou8"], dict(batch_size="-1", m="10"),
+     "unknown experiment key 'batch_size'"),
     (["check", "gradient", "--model", "preset:ou8"], dict(batch_size="0", m="10"),
-     "batch_size"),
+     "unknown experiment key 'batch_size'"),
     (["check", "gradient", "--model", "preset:ou8"], dict(batchsize="5", m="10"),
      "'batchsize'"),
     (["constants", "--model", "preset:ou8"], dict(mm="10"), "'mm'"),
@@ -356,6 +420,8 @@ def test_unwritable_out_exits_2(argv, tmp_path, capsys, monkeypatch):
     (["check", "gradient", "--model", "preset:ou8"], dict(k="nan", m="10"), "'k'"),
     (["check", "gradient", "--model", "preset:ou8"], dict(k="-1", m="10"), "'k'"),
     (["check", "gradient", "--model", "preset:ou8"], dict(k="4.0", m="10"), "'k'"),
+    (["check", "gradient", "--model", "preset:ou8"], dict(batch_size="16", m="10"),
+     "unknown experiment key 'batch_size'"),
     (["check", "gradient", "--model", "preset:ou8"], dict(x="nan*ones", m="10"),
      "x = 'nan'"),
     (["check", "gradient", "--model", "preset:ou8"], dict(v="1 0 0 0 0 0 0 -inf", m="10"),
@@ -385,11 +451,14 @@ def test_unwritable_out_exits_2(argv, tmp_path, capsys, monkeypatch):
     (["validate", "--model", "preset:ou8"], dict(threads="0"), "threads"),
     (["constants", "--model", "preset:ou8"], dict(threads="0"), "threads"),
     (["dump-trajectories", "--model", "preset:ou8"], dict(threads="0", m="1"), "threads"),
-    (["validate", "--model", "preset:ou8"], dict(batch_size="-3"), "batch_size"),
-    (["constants", "--model", "preset:ou8"], dict(batch_size="-3"), "batch_size"),
+    (["validate", "--model", "preset:ou8"], dict(batch_size="-3"),
+     "unknown experiment key 'batch_size'"),
+    (["constants", "--model", "preset:ou8"], dict(batch_size="-3"),
+     "unknown experiment key 'batch_size'"),
     (["dump-trajectories", "--model", "preset:ou8"], dict(batch_size="-3", m="1"),
-     "batch_size"),
-    (["dump-field", "--model", "preset:rd16"], dict(batch_size="-3"), "batch_size"),
+     "unknown experiment key 'batch_size'"),
+    (["dump-field", "--model", "preset:rd16"], dict(batch_size="-3"),
+     "unknown experiment key 'batch_size'"),
     (["constants", "--model", "preset:ou8"], dict(m="1e3"), "m = '1e3'"),
     (["validate", "--model", "preset:ou8"], dict(m="1e3"), "m = '1e3'"),
     (["constants", "--model", "preset:ou8"], dict(t_end="nan"), "t_end = 'nan'"),
@@ -415,7 +484,8 @@ def test_unwritable_out_exits_2(argv, tmp_path, capsys, monkeypatch):
         "check-empty-t", "converge-empty-t", "check-negative-batch-size",
         "invariant-negative-batch-size", "check-zero-batch-size", "misspelled-batch-size",
         "misspelled-m", "constants-nan-t", "constants-inf-t", "check-inf-t", "check-inf-k",
-        "check-nan-k", "check-negative-k", "check-k-key-removed", "check-nan-scale", "check-inf-entry",
+        "check-nan-k", "check-negative-k", "check-k-key-removed", "batch-size-key-removed",
+        "check-nan-scale", "check-inf-entry",
         "dump-nan-dt", "dump-inf-dt", "invariant-inf-t-end", "invariant-nan-eps0",
         "check-float-m", "check-float-seed", "converge-word-in-n-list",
         "converge-negative-level", "converge-zero-bign",
@@ -468,12 +538,14 @@ def test_bad_config_exits_2(argv, cfg, named, tmp_path, capsys):
     (RD_MODEL.replace("form = atan_scaled\na = 0.5", "form = affine\na = 1e200\nb = 0.1"), None,
      "[psi] affine"),
     (RD_MODEL.replace("amp = 0.1", "amp = 1e200"), None, "[phi] sin_perturbed"),
+    # amp^2 is finite, but the diffusion kernel's weight 2 amp^2 overflows
+    (RD_MODEL.replace("amp = 0.1", "amp = 1e154"), None, "weight must be finite"),
 ], ids=["side-with-one-number", "ou-without-lambdas", "ou-zero-lambda",
         "model-without-section", "experiment-without-section", "nan-alpha", "inf-alpha",
         "nan-phi-amp", "inf-psi-a", "inf-side", "nan-ou-lambda", "ou-phi0-not-a-number",
         "nan-t", "inf-t", "ou-phi0-square-overflows", "float-n", "zero-n",
         "float-quad-points", "float-d", "zero-d", "atan-a-square-overflows",
-        "affine-a-square-overflows", "sin-amp-square-overflows"])
+        "affine-a-square-overflows", "sin-amp-square-overflows", "sigma-weight-overflows"])
 def test_bad_input_file_exits_2(model, experiment, named, tmp_path, capsys):
     argv = ["constants", "--model", str(tmp_path / "m.ini")]
     (tmp_path / "m.ini").write_text(model)

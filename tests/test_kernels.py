@@ -14,6 +14,8 @@ from spdelab import presets
 from spdelab.kernels import (ConstantKernel, ModeSeriesKernel,
                              PowerSeriesKernel, RegularityProfile, gradient_constant,
                              logharnack_constant, poincare_constant)
+from spdelab.reaction import ReactionDiffusionModel, ScalarFunctionSpec
+from spdelab.spectral import RectDomain
 
 from oracles import logharnack_constant_from_phi
 
@@ -165,6 +167,33 @@ class TestCriticalTime:
                               lambda_sigma=1.0)
         assert p.t0 == math.inf
 
+    def test_tiny_t0_is_relatively_exact(self):
+        # the bracket ends within 1e-9 of t0 relative, also where t0 is far below the
+        # absolute 1e-12 (the last one is subnormal)
+        for c in (1e150, 1.3e154):
+            p = RegularityProfile(Kb=ConstantKernel(c), Ksigma=ConstantKernel(0.0),
+                                  lambda_sigma=1.0)
+            assert p.t0 == pytest.approx(1.0 / (6.0 * c) / c, rel=1e-9, abs=0.0)
+
+    def test_bisection_ends_at_adjacent_floats(self):
+        # phi_b(t) = 1e320 t: t0 = 1/(6e320) lies among subnormals spaced 5e-324 apart,
+        # so no bracket reaches 1e-9 relative and the bisection stops at adjacent floats
+        class Steep:
+            def integral(self, t):
+                return t * 1e300 * 1e20
+
+            def integral_to_inf(self):
+                return math.inf
+
+        t0 = RegularityProfile(Kb=Steep(), Ksigma=ConstantKernel(0.0), lambda_sigma=1.0).t0
+        assert t0 == pytest.approx(1.0 / 6e300 / 1e20, abs=1e-323)
+
+    def test_drift_caps_t0_at_one(self):
+        # phi_b(t) = 0.01 t alone would give t0 = 16.7; with a drift the bounds hold for t <= 1
+        p = RegularityProfile(Kb=ConstantKernel(0.1), Ksigma=ConstantKernel(0.0),
+                              lambda_sigma=1.0)
+        assert p.t0 == 1.0 and p.t0_exact
+
     def test_defining_property(self, rd16_profile):
         for prof in (rd16_profile,
                      RegularityProfile(Kb=ConstantKernel(1.0),
@@ -206,6 +235,19 @@ class TestConstants:
         t0 = 1.0 / 390
         assert gradient_constant(1.0, t0) == 6.0 ** (1.0 + 1.0 / t0)
         assert poincare_constant(1.0, t0, 2.0) == 24.0 * t0 * (6.0 ** (1.0 / t0) - 1.0) / LOG6
+
+    @pytest.mark.parametrize("c", [0.05, 0.1, 0.2])
+    def test_lipschitz_drift_flow_within_gradient_constant(self, c):
+        # drift c u, constant noise, L = 100, alpha = 0.6: mode 1's derivative flow is
+        # deterministic, |J_t|^2 = e^{2(c - lambda_1) t}, and the flow bound says it is at
+        # most 6^{1+t/t0}; compared in logs, as both overflow a float for large t
+        model = ReactionDiffusionModel(
+            domain=RectDomain(sides=((0.0, 100.0),)), alpha=0.6,
+            psi=ScalarFunctionSpec.affine(c, 0.0), phi=ScalarFunctionSpec.affine(0.0, 1.0),
+            n=16, quad_points=64)
+        t0, lam1 = model.profile().t0, model.lambdas[0]
+        for t in (k / 10 for k in range(1, 20001)):
+            assert 2 * (c - lam1) * t <= math.log(gradient_constant(t, t0)), t
 
     def test_logharnack_rejects_t_zero(self):
         with pytest.raises(ValueError, match=r"the log-Harnack constant needs t > 0"):

@@ -7,10 +7,7 @@
 
 After writing every case, the tool compares the stdout of each ``*_t1``/``*_t2``
 pair and names each pair that differs: a report must not depend on
-``--threads``.  It compares each batch-size twin (a case rerun with only
-``batch_size`` changed, named ``<case>_<twin config>``) with its case and names
-each twin whose stdout or exit code differs: ``batch_size`` only splits the
-work.  It also names each case whose stderr holds a Python traceback or a numpy
+``--threads``.  It also names each case whose stderr holds a Python traceback or a numpy
 ``RuntimeWarning``: every failure must end in an exit code and a one-line
 message, an uncaught exception exits 1, the code of a failed gate, and a
 warning only repeats on stderr what the failure line names.  Any finding makes
@@ -21,11 +18,10 @@ and 2, once with a small experiment and once started at ``x = 1e160*ones``
 (with f = coord1, so per-path values are finite but huge).  ``converge`` and
 ``invariant`` also run on their OU presets, and ``validate`` on a
 reaction-diffusion model whose kernel integral tail is above tolerance
-(alpha = 0.6).  One more ``invariant`` case runs a single batch large enough
-for several tiles of several noise chunks.  Three cases have batch-size twins:
-``check poincare`` and ``check variance`` on ``ou8`` at the huge start run
-again as one block of 48 paths, and the chunked ``invariant`` case again in
-blocks of 2000 paths.  Every command also runs at
+(alpha = 0.6).  One more ``invariant`` case runs 20000 paths, which the CLI splits into
+blocks of 4096, each run as several tiles of several noise chunks, and ``check gradient``
+on ``rd16`` and ``check poincare`` on ``ou8`` run 4100 paths at ``--threads`` 1 and 2, so
+the thread pool runs two blocks.  Every command also runs at
 ``--threads 1`` on two model files: an OU reference and a 2-d reaction-diffusion model (whose
 kernel integral tail is above tolerance too).  A few ``ou8`` cases run edge inputs: a
 direction ``v = 1e200*e1`` whose squared derivative overflows, ``checkpoints = 0``, ``m = 0``
@@ -33,12 +29,16 @@ and ``m = 1e3`` (the last also on ``constants``, which reads every key though it
 nothing), ``seed = -1`` on ``invariant`` (which reports the seed mod 2^64 its noise
 stream uses), and ``t_end = 0.25``, ``dt = 0.1`` on ``invariant`` (which runs and reports
 two steps of dt = 0.125); ``check gradient`` runs on ``rd16`` and ``ou8`` with the removed key
-``scheme = euler_maruyama`` and on ``ou8`` with the removed key ``k = 4.0`` (each exits 2
-naming the key), and ``constants`` reads a model file with ``[galerkin] n = 1.5`` and one
+``scheme = euler_maruyama`` and on ``ou8`` with the removed keys ``k = 4.0`` and
+``batch_size = 16`` (each exits 2 naming the key), and ``constants`` reads a model file with
+``[galerkin] n = 1.5`` and one
 with ``[phi] amp = 1e200``, whose square overflows (each exits 2).  ``constants`` and
 ``check gradient`` run on a model file with the drift slope ``[psi] a = 1e150``, which
 makes 6^{t/t0} overflow a float (``constants`` writes those constants as "inf") and the
-state overflow within a few steps (``check gradient`` exits 3).  One
+state overflow within a few steps (``check gradient`` exits 3).  ``check flowbound`` runs
+at t = 40 and t = 60 on a model file with a Lipschitz drift (slope 0.1) and slow decay
+(L = 100, alpha = 0.6), where t0 is 1 and the bound holds (it reads e^{2(0.1 - lambda_1) t}
+for mode 1's deterministic flow).  One
 ``constants`` case on ``ou8`` writes to ``--out missing/report.json``, whose directory does
 not exist (it exits 2).  Each case gets a directory holding ``stdout``, ``stderr`` and
 ``exit_code``.
@@ -64,17 +64,20 @@ from pathlib import Path
 
 # f = 2 + sin(x_1) is strictly positive, so the log-Harnack check runs too
 SMALL = {"t": "0.02", "m": "48", "dt": "2e-3", "t_end": "0.02", "checkpoints": "2",
-         "n_list": "2 4", "bign": "8", "batch_size": "16", "f": "two_plus_sin1",
-         "y": "0.1*ones"}
+         "n_list": "2 4", "bign": "8", "f": "two_plus_sin1", "y": "0.1*ones"}
 HUGE = dict(SMALL, x="1e160*ones", f="coord1")
-# 20000 paths of 200 steps run as 20 tiles of 1000 paths, each drawn in two
-# noise chunks of 100 steps; the checkpoints fall in both
-CHUNKS = {"m": "20000", "batch_size": "20000", "t_end": "0.2", "dt": "1e-3",
-          "checkpoints": "6"}
+# 20000 paths of 200 steps run as 5 blocks of at most 4096 paths, each as 4 tiles drawn in
+# two noise chunks of 100 steps; the checkpoints fall in both
+CHUNKS = {"m": "20000", "t_end": "0.2", "dt": "1e-3", "checkpoints": "6"}
+# 4100 paths: two blocks, which the thread pool runs at --threads 2
+TWOBLOCKS = dict(SMALL, m="4100")
+# mode 1 of the Lipschitz-drift model follows its deterministic flow
+LIPSCHITZ = {"v": "e1", "f": "coord1", "x": "zeros", "dt": "1e-2", "seed": "3", "m": "200"}
 # edge inputs, each run by the commands listed in EDGE_CASES
 EDGES = {"bigv": dict(SMALL, v="1e200*e1"), "nocheckpoints": dict(SMALL, checkpoints="0"),
          "nopaths": dict(SMALL, m="0"), "floatm": dict(SMALL, m="1e3"),
          "em": dict(SMALL, scheme="euler_maruyama", dt="1e-3"), "slackkey": dict(SMALL, k="4.0"),
+         "batchkey": dict(SMALL, batch_size="16"),
          "negseed": dict(SMALL, seed="-1"),
          # 0.25/0.1 rounds to 2 steps, run at dt = 0.125
          "roundeddt": dict(SMALL, t_end="0.25", dt="0.1")}
@@ -83,15 +86,9 @@ EDGE_CASES = ((["check", "gradient"], "ou8", "bigv"), (["check", "variance"], "o
               (["dump-trajectories"], "ou8", "nopaths"),
               (["check", "gradient"], "ou8", "floatm"), (["check", "gradient"], "rd16", "em"),
               (["check", "gradient"], "ou8", "em"), (["check", "gradient"], "ou8", "slackkey"),
+              (["check", "gradient"], "ou8", "batchkey"),
               (["constants"], "ou8", "floatm"), (["invariant"], "ou8", "negseed"),
               (["invariant"], "ou8", "roundeddt"))
-# each case named here has a twin that runs under the config given, which differs
-# from the case's own only in batch_size
-TWIN_CONFIGS = {"huge-batch48": dict(HUGE, batch_size="48"),
-                "chunks-batch2000": dict(CHUNKS, batch_size="2000")}
-TWINS = {"check-poincare_ou8_huge_t1": "huge-batch48",
-         "check-variance_ou8_huge_t1": "huge-batch48",
-         "invariant_ou-invariant_chunks": "chunks-batch2000"}
 
 SLOW_TAIL_MODEL = """[model]
 kind = reaction_diffusion
@@ -163,10 +160,31 @@ n = 16
 quad_points = 64
 """
 
+# a Lipschitz drift with slow decay: the flow bound holds only because t0 is at most 1
+LIPSCHITZ_MODEL = """[model]
+kind = reaction_diffusion
+[domain]
+d = 1
+side_0 = 0 100
+[alpha]
+value = 0.6
+[psi]
+form = affine
+a = 0.1
+b = 0.0
+[phi]
+form = affine
+a = 0.0
+b = 1.0
+[galerkin]
+n = 16
+quad_points = 64
+"""
+
 MODEL_FILES = {"alpha06.ini": SLOW_TAIL_MODEL, "ou.ini": OU_MODEL, "rd2d.ini": RD2D_MODEL,
                "floatn.ini": SLOW_TAIL_MODEL.replace("n = 8", "n = 1.5"),
                "bigamp.ini": SLOW_TAIL_MODEL.replace("amp = 0.1", "amp = 1e200"),
-               "steep.ini": STEEP_MODEL}
+               "steep.ini": STEEP_MODEL, "lipschitz.ini": LIPSCHITZ_MODEL}
 
 COMMANDS = (["validate"], ["constants"], ["check", "gradient"], ["check", "logharnack"],
             ["check", "variance"], ["check", "poincare"], ["check", "flowbound"],
@@ -174,13 +192,7 @@ COMMANDS = (["validate"], ["constants"], ["check", "gradient"], ["check", "logha
 
 
 def cases():
-    """(name, argv, config name) of every case, in a fixed order, twins last."""
-    base = list(_cases())
-    return base + [(f"{name}_{TWINS[name]}", cmd, TWINS[name])
-                   for name, cmd, _ in base if name in TWINS]
-
-
-def _cases():
+    """(name, argv, config name) of every case, in a fixed order."""
     for model in ("rd16", "ou8"):
         for cfg in ("small", "huge"):
             for threads in ("1", "2"):
@@ -194,6 +206,10 @@ def _cases():
     yield "validate_alpha06", ["validate", "--model", "alpha06.ini"], "small"
     yield ("invariant_ou-invariant_chunks",
            ["invariant", "--model", "preset:ou-invariant"], "chunks")
+    for cmd, model in ((["check", "gradient"], "rd16"), (["check", "poincare"], "ou8")):
+        for threads in ("1", "2"):
+            yield (f"{'-'.join(cmd)}_{model}_twoblocks_t{threads}",
+                   cmd + ["--model", f"preset:{model}", "--threads", threads], "twoblocks")
     for model in ("ou", "rd2d"):
         for cmd in COMMANDS:
             yield (f"{'-'.join(cmd)}_{model}-file_small_t1",
@@ -206,13 +222,18 @@ def _cases():
     yield "constants_steep-file_small_t1", ["constants", "--model", "steep.ini"], "small"
     yield ("check-gradient_steep-file_small_t1",
            ["check", "gradient", "--model", "steep.ini", "--threads", "1"], "small")
+    for t in ("40", "60"):
+        yield (f"check-flowbound_lipschitz-file_t{t}_t1",
+               ["check", "flowbound", "--model", "lipschitz.ini", "--threads", "1"],
+               f"lipschitz{t}")
     yield ("constants_ou8_unwritable-out_t1",
            ["constants", "--model", "preset:ou8", "--out", "missing/report.json"], "small")
 
 
 def write_inputs(work: Path):
-    for name, cfg in (("small", SMALL), ("huge", HUGE), ("chunks", CHUNKS), *EDGES.items(),
-                      *TWIN_CONFIGS.items()):
+    for name, cfg in (("small", SMALL), ("huge", HUGE), ("chunks", CHUNKS),
+                      ("twoblocks", TWOBLOCKS), ("lipschitz40", dict(LIPSCHITZ, t="40")),
+                      ("lipschitz60", dict(LIPSCHITZ, t="60")), *EDGES.items()):
         body = "[experiment]\n" + "".join(f"{k} = {v}\n" for k, v in cfg.items())
         (work / f"{name}.ini").write_text(body)
     for name, body in MODEL_FILES.items():
@@ -227,7 +248,7 @@ def main(argv=None) -> int:
     src = str(Path(args.src).resolve())
     out = Path(args.out)
     env = dict(os.environ, PYTHONPATH=src)
-    printed, exits, crashed, warned = {}, {}, [], []
+    printed, crashed, warned = {}, [], []
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         write_inputs(work)
@@ -241,7 +262,7 @@ def main(argv=None) -> int:
             (case / "stderr").write_text(re.sub(r"(<src>/spdelab/\w+\.py):\d+:", r"\1:<line>:",
                                                 proc.stderr.replace(src, "<src>")))
             (case / "exit_code").write_text(f"{proc.returncode}\n")
-            printed[name], exits[name] = proc.stdout, proc.returncode
+            printed[name] = proc.stdout
             if "Traceback (most recent call last)" in proc.stderr:
                 crashed.append(name)
             if "RuntimeWarning" in proc.stderr:
@@ -251,16 +272,11 @@ def main(argv=None) -> int:
               and name[:-1] + "2" in printed and printed[name] != printed[name[:-1] + "2"]]
     for name in differ:
         print(f"stdout differs between {name} and {name[:-1]}2", file=sys.stderr)
-    split = [name for name, cfg in TWINS.items() if (printed[name], exits[name])
-             != (printed[f"{name}_{cfg}"], exits[f"{name}_{cfg}"])]
-    for name in split:
-        print(f"stdout or exit code differs between {name} and {name}_{TWINS[name]}",
-              file=sys.stderr)
     for name in crashed:
         print(f"traceback in the stderr of {name}", file=sys.stderr)
     for name in warned:
         print(f"RuntimeWarning in the stderr of {name}", file=sys.stderr)
-    return 1 if differ or split or crashed or warned else 0
+    return 1 if differ or crashed or warned else 0
 
 
 if __name__ == "__main__":
