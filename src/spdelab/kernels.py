@@ -35,7 +35,9 @@ import numpy as np
 
 LOG6 = math.log(6.0)
 PHI_BUDGET = 1.0 / 6.0
-TRUNCATION_TOL = 1e-12  # largest tail bound a truncated series may leave off
+# largest tail bound a truncated series may leave off; absolute, not relative to a weight,
+# because t0 compares phi_b + phi_sigma with the absolute budget 1/6
+TRUNCATION_TOL = 1e-12
 _MAX_TERMS = 5_000_000  # most terms a power-series integral sums
 
 

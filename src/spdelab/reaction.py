@@ -3,10 +3,10 @@
 The equation has drift b(u)(xi) = psi(u(xi)) and pointwise-multiplication
 noise {sigma(u) x}(xi) = phi(u(xi)) x(xi) for Lipschitz scalar functions
 psi, phi.  This module turns that model into one fused Galerkin step,
-``ReactionCallbacks.increment``, the step's only step method (pseudo-spectral:
-synthesize on a tensor sine-quadrature grid by a precomputed table of sampled
-eigenfunctions, apply the scalar functions pointwise, project back), and
-derives its exact regularity profile: K_b is the constant kernel from the
+``ReactionCallbacks.increment``, whose one call advances every lane of a batch
+(pseudo-spectral: synthesize on a tensor sine-quadrature grid by a table of
+sampled eigenfunctions, apply the scalar functions pointwise, project back),
+and derives its exact regularity profile: K_b is the constant kernel from the
 drift Lipschitz constant, and K_sigma is the explicit per-mode series
 
     K_sigma(t) = c_phi^2 * prod_i (2/L_i) * sum_m e^{-2 lambda_m t},
@@ -233,35 +233,38 @@ class ReactionCallbacks:
         self._phi = model.phi
         self._tf = _SineTransform(model.domain, model.spectrum.modes, model.quad_points)
 
-    def increment(self, x, dw, dt, h=None):
-        """(dx, dh): dx = P[psi(u) dt + phi(u) w], dh = P[(psi'(u) dt + phi'(u) w) h(xi)].
+    def increment(self, lanes, dw, dt, flow=False):
+        """d[i] = P[psi(u) dt + phi(u) w] per state lane, P[(psi'(u) dt + phi'(u) w) h(xi)] last.
 
-        u, w and h(xi) are the fields of x, dw and h; each is synthesized once.
-        A plain step calls each coefficient's ``fn``, a flow step its ``deriv``
-        once.  dh is None when h is None.
+        u, w and h(xi) are the fields of a state lane, of dw (one for all lanes) and of the
+        flow lane, the tangent along lane 0, whose u it takes.  State lanes call each
+        coefficient's ``fn``; with ``flow``, lane 0 calls its ``deriv`` once instead.
         """
         tf = self._tf
-        u = tf.synthesize(x)
         w = tf.synthesize(dw)
-        # Only arrays made here are written over: a coefficient may return u
-        # itself.  Each coefficient's results are dropped before the next is
-        # made, so fewer grid-sized arrays are alive at once.  IEEE sums and
+        d = np.empty(lanes.shape)
+        # Only arrays made here are written over: a coefficient may return u itself.  Each
+        # coefficient's results are dropped before the next is made.  IEEE sums and
         # products commute, so the bits are those of the formula above.
-        if h is None:
-            w *= self._phi.fn(u)
-            w += self._psi.fn(u) * dt
-            return tf.project(w), None
-        phi, dphi = self._phi.deriv(u)
-        dx = phi * w
-        w *= dphi
-        del phi, dphi
-        psi, dpsi = self._psi.deriv(u)
-        del u
-        dx += psi * dt
-        w += dpsi * dt
-        del psi, dpsi
-        w *= tf.synthesize(h)
-        return tf.project(dx), tf.project(w)
+        for i in range(len(lanes) - flow):
+            u = tf.synthesize(lanes[i])
+            tangent = flow and i == 0
+            phi, dphi = self._phi.deriv(u) if tangent else (self._phi.fn(u), None)
+            dx = phi * w
+            if tangent:
+                dh = dphi * w
+            del phi, dphi
+            psi, dpsi = self._psi.deriv(u) if tangent else (self._psi.fn(u), None)
+            del u
+            dx += psi * dt
+            if tangent:
+                dh += dpsi * dt
+            d[i] = tf.project(dx)
+            del psi, dpsi, dx
+        if flow:
+            dh *= tf.synthesize(lanes[-1])
+            d[-1] = tf.project(dh)
+        return d
 
     def field_on_grid(self, coeffs: np.ndarray):
         """(grid points (q^d, d), values (q^d,)) of the field of one coefficient vector."""

@@ -7,14 +7,15 @@ over the step,
     x_{k+1,i} = e^{-lambda_i dt} (x_k + b(x_k) dt + sigma(x_k) dW)_i.
 
 It discretizes the mild solution, whose expectations the checked bounds are
-about, and its linear part is stable at any lambda dt.  The derivative flow
-(pathwise linearization along a direction v) is integrated jointly with the
-state using the same noise draws and the same exponential factor.  A model
-enters only as one step object whose one step method,
-``cb.increment(x, dw, dt, h=None) -> (dx, dh)``, returns the nonlinear
-increment b(x) dt + sigma(x) dW and, along a tangent h, its linearization (dh
-is None when h is None).  Every model is differentiable.  The OU reference's
-step is ``diagonal_constant_diffusion``.
+about, and its linear part is stable at any lambda dt.  The state x, a
+coupled state y and the derivative flow (the pathwise linearization of x along
+v) are lanes that share each step's noise draw and exponential factor.  A
+model enters only as one step object whose one step method,
+``cb.increment(lanes, dw, dt, flow=False) -> d``, returns the increment of the
+(L, b, n) lanes: b(x) dt + sigma(x) dW on each state lane (x, then y) and,
+with ``flow``, its linearization along the last lane, the tangent along lane
+0.  ``d`` broadcasts to the lanes' shape.  Every model is differentiable.  The
+OU reference's step is ``diagonal_constant_diffusion``.
 """
 from __future__ import annotations
 
@@ -76,9 +77,10 @@ class diagonal_constant_diffusion:
     # no step calls these; perfbench's tracer looks them up, wrapping any not None
     drift = diffusion_apply = drift_jacobian_apply = diffusion_jacobian_apply = None
 
-    def increment(self, x, dw, dt, h=None):
-        """(phi0 dw, 0 along h); the tangent is None when h is None."""
-        return self.phi0 * dw, None if h is None else np.zeros_like(h)
+    def increment(self, lanes, dw, dt, flow=False):
+        """phi0 dw on every state lane and 0 on the flow lane."""
+        d = self.phi0 * dw
+        return np.stack([d] * (len(lanes) - 1) + [np.zeros_like(d)]) if flow else d
 
 
 def _parts(total: int, most: int) -> list[tuple[int, int]]:
@@ -96,26 +98,27 @@ def simulate_batch(x0: np.ndarray, path_ids, cfg: SchemeConfig, lambdas: np.ndar
                    checkpoint_steps=()):
     """Integrate a batch of paths; the workhorse behind every estimator.
 
-    Modes (combinable): plain state, coupled second state ``y0`` fed the same
-    noise, derivative flow started at ``v``.  ``checkpoint_steps`` collects
-    state snapshots (dict step -> (B, n) array), every step of a trajectory
-    dump included.
+    Lanes (combinable): the state from ``x0``, a coupled second state ``y0``
+    fed the same noise, and the derivative flow started at ``v``; one step
+    call advances them all.  ``checkpoint_steps`` collects state snapshots
+    (dict step -> (B, n) array), every step of a trajectory dump included.
 
-    Returns dict with keys 'x' and optionally 'y', 'flow', 'checkpoints'.
+    Returns dict with C-contiguous (B, n) 'x' and optionally 'y', 'flow', 'checkpoints'.
     """
     path_ids = np.asarray(path_ids, dtype=np.int64)
     n = lambdas.size
     B = path_ids.size
-    x = np.broadcast_to(np.asarray(x0, dtype=float), (B, n)).copy()
-    y = None if y0 is None else np.broadcast_to(np.asarray(y0, dtype=float), (B, n)).copy()
-    flow = None if v is None else np.broadcast_to(np.asarray(v, dtype=float), (B, n)).copy()
+    # (result key, name in a failure, start) of each lane, in lane order
+    kept = [lane for lane in (("x", "state", x0), ("y", "coupled state", y0),
+                              ("flow", "derivative flow", v)) if lane[2] is not None]
+    lanes = np.array([np.broadcast_to(s, (B, n)) for *_, s in kept], dtype=float)  # C order
 
     K = cfg.n_steps
     dt = cfg.realized_dt
     sqdt = np.sqrt(dt)
     decay = np.exp(-lambdas * dt)
     checkpoint_steps = set(int(s) for s in checkpoint_steps)
-    snaps = {k: x.copy() if k == 0 else np.empty((B, n))
+    snaps = {k: lanes[0].copy() if k == 0 else np.empty((B, n))
              for k in sorted(checkpoint_steps) if 0 <= k <= K}
 
     # Each tile of rows runs all K steps from its own reader; its steps k0+1..k1
@@ -124,33 +127,25 @@ def simulate_batch(x0: np.ndarray, path_ids, cfg: SchemeConfig, lambdas: np.ndar
     rows = max(_MIN_TILE_ROWS, _CHUNK_FLOAT_BUDGET // max(1, K * noise.width))
     for r0, r1 in _parts(B, rows):
         ids = path_ids[r0:r1]
-        xt, yt, ft = (None if a is None else a[r0:r1] for a in (x, y, flow))
+        tile = lanes[:, r0:r1]
         reader = noise.open(ids)
         for k0, k1 in _parts(K, _CHUNK_FLOAT_BUDGET // (ids.size * noise.width)):
             z = reader.draw(k1 - k0, n)
             z *= sqdt
             for k in range(k0 + 1, k1 + 1):
                 dw = z[:, k - k0 - 1]
-                dx, dft = cb.increment(xt, dw, dt, ft)
-                if ft is not None:
-                    ft = decay * (ft + dft)
-                if yt is not None:
-                    yt = decay * (yt + cb.increment(yt, dw, dt)[0])
-                xt = decay * (xt + dx)
+                tile += cb.increment(tile, dw, dt, v is not None)
+                tile *= decay
                 if k in snaps:
-                    snaps[k][r0:r1] = xt
+                    snaps[k][r0:r1] = tile[0]
             del z, dw
-            for what, full, part in (("state", x, xt), ("coupled state", y, yt),
-                                     ("derivative flow", flow, ft)):
-                if full is None:
-                    continue
-                full[r0:r1] = part
+            for (_, what, _), part in zip(kept, tile):
                 bad = ~np.isfinite(part).all(axis=-1)
                 if bad.any():
                     raise SimulationError(f"non-finite {what} within steps {k0 + 1}..{k1} "
                                           f"on paths {ids[bad][:5].tolist()}")
 
-    out = {key: a for key, a in (("x", x), ("y", y), ("flow", flow)) if a is not None}
+    out = {key: lane for (key, _, _), lane in zip(kept, lanes)}
     if checkpoint_steps:
         out["checkpoints"] = snaps
     return out

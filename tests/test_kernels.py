@@ -15,7 +15,7 @@ from spdelab.kernels import (ConstantKernel, ModeSeriesKernel,
                              PowerSeriesKernel, RegularityProfile, gradient_constant,
                              logharnack_constant, poincare_constant)
 from spdelab.reaction import ReactionDiffusionModel, ScalarFunctionSpec
-from spdelab.spectral import RectDomain
+from spdelab.spectral import EigenSpectrum, RectDomain, unit_interval
 
 from oracles import logharnack_constant_from_phi
 
@@ -135,6 +135,26 @@ def test_value_tail_warning_names_calling_line():
     assert [str(w.message).split(" at ")[1] for w in rec] == [
         "t=0.1; store more modes", "t=0.2; store more modes", "t=0.3; store more modes"]
     assert {(w.filename, w.lineno) for w in rec} == {(__file__, line)}
+
+
+def test_tail_above_tolerance_under_huge_weight_moves_t0():
+    # phi amp = 1e150 gives K_sigma the weight 2e300.  Its 4096 stored modes leave an
+    # integral tail bound of 4.98e286, tiny next to the weight but not next to the budget
+    # 1/6 that t0 is measured against: with 4x the modes, phi_sigma at the reported t0 is
+    # 0.667, so the t0 is too large and the absolute tolerance is right to warn
+    model = ReactionDiffusionModel(domain=unit_interval(), alpha=2.0,
+                                   psi=ScalarFunctionSpec.atan_scaled(0.5),
+                                   phi=ScalarFunctionSpec.sin_perturbed(1.0, 1e150, 1.0),
+                                   n=8, quad_points=32)
+    with pytest.warns(UserWarning, match=r"integral tail bound 4\.98e\+286 above tolerance"):
+        prof = model.profile()
+    k = prof.Ksigma
+    assert k.weight == pytest.approx(2e300) and k.rates.size == 4096
+    assert prof.Kb.integral(prof.t0) + k.integral(prof.t0) <= 1.0 / 6.0
+    rates = 2.0 * EigenSpectrum.synthesize(model.domain, model.alpha, 4 * 4096).lambdas
+    with pytest.warns(UserWarning, match="integral tail bound"):
+        more = ModeSeriesKernel(weight=k.weight, rates=rates, rate_exponent=k.rate_exponent)
+    assert more.integral(prof.t0) > 1.0 / 6.0
 
 
 def test_power_series_term_cap_warns_once():

@@ -99,13 +99,13 @@ class TestModelValidation:
 
 
 def drift(cb, x):
-    """b(x): the step's increment with no noise over unit time."""
-    return cb.increment(x, np.zeros_like(x), 1.0)[0]
+    """b(x): the step's increment of one state lane with no noise over unit time."""
+    return cb.increment(x[None], np.zeros_like(x), 1.0)[0]
 
 
 def diffusion(cb, x, w):
-    """sigma(x) w: the step's increment over zero time."""
-    return cb.increment(x, w, 0.0)[0]
+    """sigma(x) w: the step's increment of one state lane over zero time."""
+    return cb.increment(x[None], w, 0.0)[0]
 
 
 # each spec with a bound on |g'''|: 0 for affine, |amp| freq^3 for
@@ -175,17 +175,32 @@ class TestCallbacks:
         cb = build_callbacks(make_model(ATAN_PSI, SIN_PHI, n=8, q=32))
         x, dw, h = rng.normal(size=(3, 5, 8))
         dt = 1e-3
-        dx, dh = cb.increment(x, dw, dt, h)
+        lanes = np.stack([x, h])
+        dx, dh = cb.increment(lanes, dw, dt, flow=True)
         np.testing.assert_allclose(dx, drift(cb, x) * dt + diffusion(cb, x, dw),
                                    rtol=0, atol=1e-14)
         # the drift tangent is the step along h over unit time without noise,
         # the diffusion tangent the step along h over zero time
         np.testing.assert_allclose(
-            dh, cb.increment(x, np.zeros_like(x), 1.0, h)[1] * dt + cb.increment(x, dw, 0.0, h)[1],
+            dh, (cb.increment(lanes, np.zeros_like(x), 1.0, flow=True)[1] * dt
+                 + cb.increment(lanes, dw, 0.0, flow=True)[1]),
             rtol=0, atol=1e-14)
-        dx_only, none = cb.increment(x, dw, dt)
-        np.testing.assert_array_equal(dx_only, dx)
-        assert none is None
+        # without the flow lane the step returns the state lane alone
+        state_only = cb.increment(x[None], dw, dt)
+        np.testing.assert_array_equal(state_only[0], dx)
+        assert state_only.shape == (1,) + x.shape
+
+    def test_every_lane_steps_alone(self, rng):
+        # a state lane's increment is the one it gets as the only lane, bit for
+        # bit, and the flow lane's is the one along lane 0
+        cb = build_callbacks(make_model(ATAN_PSI, SIN_PHI))
+        x, y, dw, h = rng.normal(size=(4, 5, 8))
+        pair = cb.increment(np.stack([x, y]), dw, 1e-3)
+        for lane, d in zip((x, y), pair):
+            np.testing.assert_array_equal(d, cb.increment(lane[None], dw, 1e-3)[0])
+        tangent = cb.increment(np.stack([x, h]), dw, 1e-3, flow=True)[1]
+        np.testing.assert_array_equal(cb.increment(np.stack([x, y, h]), dw, 1e-3, flow=True),
+                                      np.stack([pair[0], pair[1], tangent]))
 
     def test_coefficient_returning_its_input(self, rng):
         # fn = identity hands the step its own field u: writing over what a
@@ -194,9 +209,9 @@ class TestCallbacks:
                                          sup_sq=math.inf, deriv=np.ones_like,
                                          growth_sq_slope=1.0)
         x, dw, h = rng.normal(size=(3, 5, 8))
-        for hh in (None, h):
-            got = build_callbacks(make_model(same, same)).increment(x, dw, 1e-3, hh)
-            ref = build_callbacks(make_model(IDENT, IDENT)).increment(x, dw, 1e-3, hh)
+        for lanes, flow in ((x[None], False), (np.stack([x, h]), True)):
+            got = build_callbacks(make_model(same, same)).increment(lanes, dw, 1e-3, flow)
+            ref = build_callbacks(make_model(IDENT, IDENT)).increment(lanes, dw, 1e-3, flow)
             for a, b in zip(got, ref):
                 np.testing.assert_array_equal(a, b)
 
@@ -211,9 +226,9 @@ class TestCallbacks:
         cb = build_callbacks(model)
         x, dw, h = rng.normal(size=(3, 4, n))
         dt, eps = 0.3, 1e-4
-        dh = cb.increment(x, dw, dt, h)[1]
-        central = (cb.increment(x + eps * h, dw, dt)[0]
-                   - cb.increment(x - eps * h, dw, dt)[0]) / (2 * eps)
+        dh = cb.increment(np.stack([x, h]), dw, dt, flow=True)[1]
+        ahead, behind = cb.increment(np.stack([x + eps * h, x - eps * h]), dw, dt)
+        central = (ahead - behind) / (2 * eps)
         # Taylor: at each grid point the quotient is off by at most
         # eps^2/6 (|psi'''| dt + |phi'''| |w|) |h|^3.  A field with coefficients c
         # is at most E |c|_1 anywhere (E = sup |e_k| = prod sqrt(2/L_i)), and

@@ -4,7 +4,7 @@ import weakref
 import numpy as np
 import pytest
 
-from spdelab import simulate
+from spdelab import reaction, simulate
 from spdelab.noise import BatchReader, NoiseStream
 from spdelab.reaction import build_callbacks
 from spdelab.simulate import (SchemeConfig, SimulationError, diagonal_constant_diffusion,
@@ -17,9 +17,11 @@ class Step:
     def __init__(self, drift, diffusion):
         self.drift, self.diffusion = drift, diffusion
 
-    def increment(self, x, dw, dt, h=None):
-        return (self.drift(x) * dt + self.diffusion(x, dw),
-                None if h is None else np.zeros_like(h))
+    def increment(self, lanes, dw, dt, flow=False):
+        d = self.drift(lanes) * dt + self.diffusion(lanes, dw)
+        if flow:
+            d[-1] = 0.0
+        return d
 
 
 def zero_callbacks() -> Step:
@@ -85,6 +87,26 @@ class TestStep:
             flow = decay * flow
         for key, expected in (("x", x), ("y", y), ("flow", flow)):
             np.testing.assert_array_equal(out[key][0], expected)
+
+    @pytest.mark.parametrize("starts, per_path_step", [({}, 3), ({"y0": 0.2}, 5),
+                                                        ({"v": 1.0}, 5)],
+                             ids=["plain", "pair", "flow"])
+    def test_one_noise_synthesis_per_step(self, rd16, rd16_callbacks, monkeypatch,
+                                          starts, per_path_step):
+        # dW's field is synthesized once per step for every lane; each lane adds
+        # its own synthesis and projection, each of all the batch's rows
+        rows = []
+        for name in ("synthesize", "project"):
+            def counted(tf, a, _orig=getattr(reaction._SineTransform, name)):
+                rows.append(a.shape[0])
+                return _orig(tf, a)
+            monkeypatch.setattr(reaction._SineTransform, name, counted)
+        cfg = SchemeConfig(dt=2e-3, t_end=0.02)
+        simulate_batch(np.full(16, 0.1), np.arange(7), cfg, rd16.spectrum.lambdas,
+                       rd16_callbacks, NoiseStream(seed=2, width=16),
+                       **{key: np.full(16, s) for key, s in starts.items()})
+        assert set(rows) == {7}
+        assert len(rows) == per_path_step * cfg.n_steps
 
     def test_dimension_mismatch(self):
         noise = NoiseStream(seed=0, width=4)
@@ -268,7 +290,8 @@ class TestDerivativeFlow:
     def test_ou_tangent_is_zero(self, rng):
         # constant noise and no drift: the step does not depend on x
         x, dw, h = rng.normal(size=(3, 4, 8))
-        dx, dh = diagonal_constant_diffusion(0.7).increment(x, dw, 1e-2, h)
+        dx, dh = diagonal_constant_diffusion(0.7).increment(np.stack([x, h]), dw, 1e-2,
+                                                            flow=True)
         np.testing.assert_array_equal(dx, 0.7 * dw)
         np.testing.assert_array_equal(dh, np.zeros_like(h))
 
@@ -280,6 +303,22 @@ class TestCoupledPair:
         res = simulate_batch(x0, [1], cfg, rd16.spectrum.lambdas, rd16_callbacks,
                              NoiseStream(seed=8, width=16), y0=x0)
         np.testing.assert_array_equal(res["x"][0], res["y"][0])
+
+    def test_each_lane_matches_its_own_run(self, rd16, rd16_callbacks):
+        # the lanes share the noise and nothing else: each is the run it would
+        # be alone, bit for bit, and comes back C-contiguous
+        cfg = SchemeConfig(dt=2e-3, t_end=0.02)
+        x0, y0, v = np.full(16, 0.1), np.linspace(-0.5, 0.5, 16), np.eye(16)[1]
+
+        def run(start, **lanes):
+            return simulate_batch(start, [3, 9, 4], cfg, rd16.spectrum.lambdas,
+                                  rd16_callbacks, NoiseStream(seed=8, width=16), **lanes)
+
+        res = run(x0, y0=y0, v=v)
+        for key, alone in (("x", run(x0)["x"]), ("y", run(y0)["x"]),
+                           ("flow", run(x0, v=v)["flow"])):
+            np.testing.assert_array_equal(res[key], alone)
+            assert res[key].flags.c_contiguous
 
     def test_constant_sigma_difference_deterministic(self):
         lams = np.array([1.0, 3.0])
