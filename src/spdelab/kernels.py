@@ -14,7 +14,9 @@ A profile pairs the two forms a model builds (no shared base class); ``Kernel`` 
 
 * ``ConstantKernel(c)``          K(t) = c^2            (Lipschitz drift)
 * ``ModeSeriesKernel``           K(t) = w sum_m e^{-r_m t}: one weight (every rectangle
-  eigenfunction has the same sup-norm) and explicit per-mode rates
+  eigenfunction has the same sup-norm), explicit per-mode rates, and a closed-form envelope
+  r_m >= kappa m^p (Polya's bound on a rectangle, ``reaction.exact_Ksigma``) that bounds
+  the tail past the stored modes in every d
 
 ``PowerSeriesKernel`` (K(t) = C sum_m m^k e^{-delta t m^p}, k in {0,1}) is built by no model;
 it keeps only ``integral``, because perfbench's tracer names the class.  ``integral`` sums
@@ -135,14 +137,15 @@ class PowerSeriesKernel:
 class ModeSeriesKernel:
     """K(t) = w sum_m e^{-r_m t} from one weight w and explicit per-mode rates.
 
-    ``rate_exponent`` is the asymptotic growth order of the rates
-    (r_m ~ m^rate_exponent); it drives tail bounds past the stored modes and
-    the integrability decisions.
+    ``rate_exponent`` p and ``kappa`` give an envelope r_m >= kappa m^p for every mode m,
+    stored or not; it drives tail bounds past the stored modes, and p the integrability
+    decisions.
     """
 
     weight: float
     rates: np.ndarray
     rate_exponent: float
+    kappa: float
 
     def __post_init__(self):
         r = np.asarray(self.rates, dtype=float)
@@ -159,18 +162,10 @@ class ModeSeriesKernel:
             warnings.warn(f"mode-series integral tail bound {tail:.2e} above tolerance; "
                           "store more modes", stacklevel=3)
 
-    def _kappa(self) -> float:
-        """Envelope r_m >= kappa m^p past the M stored modes, fit on the second half of them."""
-        M = self.rates.size
-        half = max(1, M // 2)
-        m = np.arange(1, M + 1, dtype=float)
-        with np.errstate(divide="ignore"):
-            return float(np.min(self.rates[half - 1 :] / m[half - 1 :] ** self.rate_exponent))
-
     def value(self, t):
         t = _time(t, positive=True)
         head = float(np.sum(self.weight * np.exp(-self.rates * t)))
-        tail = _exp_series_tail(self.weight, self._kappa() * t, self.rate_exponent,
+        tail = _exp_series_tail(self.weight, self.kappa * t, self.rate_exponent,
                                 self.rates.size)
         if tail > TRUNCATION_TOL:  # name the calling line
             warnings.warn(f"mode-series tail bound {tail:.2e} above tolerance at t={t}; "
@@ -184,7 +179,7 @@ class ModeSeriesKernel:
 
     def _integral_tail(self) -> float:
         q = self.rate_exponent
-        return self.weight / self._kappa() * self.rates.size ** (1.0 - q) / (q - 1.0)
+        return self.weight / self.kappa * self.rates.size ** (1.0 - q) / (q - 1.0)
 
     def integral_to_inf(self) -> float:
         if self.rate_exponent <= 1.0:
@@ -202,7 +197,7 @@ class ModeSeriesKernel:
             return False, math.inf
         g = special.gamma(1.0 - eps)
         terms = self.weight * self.rates ** (eps - 1.0) * g * special.gammainc(1.0 - eps, self.rates)
-        tail = (self.weight * g * self._kappa() ** (eps - 1.0) * self.rates.size ** (1.0 - q)
+        tail = (self.weight * g * self.kappa ** (eps - 1.0) * self.rates.size ** (1.0 - q)
                 / (q - 1.0))
         return True, float(terms.sum()) + 0.5 * tail
 

@@ -281,14 +281,18 @@ def exact_Ksigma(model: ReactionDiffusionModel) -> ModeSeriesKernel:
     K_sigma(t) = w sum_m e^{-r_m t} with the one weight w = c_phi^2 prod_i (2/L_i)
     (the squared sup-norm of every rectangle eigenfunction) and r_m = 2 lambda_m,
     over the first max(4096, 4n) modes of ``EigenSpectrum.synthesize``, so its
-    first n rates are twice the model's Galerkin eigenvalues bit for bit.
+    first n rates are twice the model's Galerkin eigenvalues bit for bit.  Polya's bound for
+    tiling domains, mu_m >= 4 pi^2 (m / (omega_d |Omega|))^{2/d} with omega_d the unit-ball
+    volume, gives their envelope r_m >= kappa m^{2 alpha/d} for every m.
     """
-    c = model.phi.lipschitz
+    c, d = model.phi.lipschitz, model.domain.d
     w0 = c**2 * float(np.prod(2.0 / model.domain.lengths))
     n_modes = max(4096, 4 * model.n)
     rates = 2.0 * EigenSpectrum.synthesize(model.domain, model.alpha, n_modes).lambdas
+    omega_volume = math.pi ** (d / 2) / math.gamma(d / 2 + 1) * float(np.prod(model.domain.lengths))
+    kappa = 2.0 * (4.0 * math.pi**2 / omega_volume ** (2 / d)) ** model.alpha
     return ModeSeriesKernel(weight=w0, rates=rates,
-                            rate_exponent=2.0 * model.alpha / model.domain.d)
+                            rate_exponent=2.0 * model.alpha / d, kappa=kappa)
 
 
 def build_profile(model: ReactionDiffusionModel) -> RegularityProfile:
@@ -305,14 +309,27 @@ def build_profile(model: ReactionDiffusionModel) -> RegularityProfile:
 def check_growth_condition(model: ReactionDiffusionModel, eps0: float, C0: float) -> bool:
     """Does |phi(s)|^2 + |psi(s)|^2 <= eps0 s^2 + C0 hold on the real line?
 
-    Checked on a symmetric log-spaced grid plus the declared asymptotic
-    slopes of the squared coefficients.
+    The declared envelopes |g(s)| <= |g(0)| + L|s|, capped by sqrt(sup_sq) where finite,
+    settle it past a radius R; inside, it is checked on a symmetric log-spaced grid out to
+    max(1e3, R).  It fails where the declared slopes of g^2 or the envelopes exceed eps0.
     """
     if eps0 <= 0 or C0 <= 0:
         raise ValueError("growth condition needs eps0, C0 > 0")
     if model.phi.growth_sq_slope + model.psi.growth_sq_slope > eps0:
         return False
-    mags = np.logspace(-3, 3, 400)
+    a = b = c = 0.0  # the squared envelopes sum to a s^2 + b |s| + c
+    for g in (model.phi, model.psi):
+        if math.isfinite(g.sup_sq):
+            c += g.sup_sq
+        else:
+            g0 = abs(float(np.asarray(g.fn(np.zeros(1)))[0]))
+            a, b, c = a + g.lipschitz**2, b + 2.0 * g0 * g.lipschitz, c + g0**2
+    # the larger root of (eps0 - a) s^2 - b s + (C0 - c), 0 if none; nan (overflow) fails
+    disc = b * b - 4.0 * (eps0 - a) * (C0 - c)
+    R = (b + math.sqrt(disc)) / (2.0 * (eps0 - a)) if eps0 > a and not disc <= 0 else 0.0
+    if eps0 < a or (eps0 == a and (b > 0 or c > C0)) or not R < math.inf:
+        return False
+    mags = np.logspace(-3, max(3.0, math.log10(max(R, 1.0))), 400)
     s = np.concatenate([-mags[::-1], [0.0], mags])
     lhs = np.asarray(model.phi.fn(s)) ** 2 + np.asarray(model.psi.fn(s)) ** 2
     return bool(np.all(lhs <= eps0 * s**2 + C0 + 1e-12))

@@ -1,8 +1,11 @@
 """Eigenstructure of -(-Laplacian)^alpha with Dirichlet boundary on rectangles.
 
 Everything here is exact: eigenvalues on a d-dimensional rectangle have a closed
-form, and the diagonal semigroup acts mode by mode.  The eigenfunctions exist
-only as the sine table of ``reaction._SineTransform``, on the quadrature grid.
+form, and the diagonal semigroup acts mode by mode.  Modes are ordered by
+mu = sum_i (m_i pi / L_i)^2, which alpha does not change; alpha is applied once, as
+lambda = mu^alpha, and an eigenvalue (or its rate 2 lambda) that overflows a float is a
+``ValueError`` (CLI exit 2).  The eigenfunctions exist only as the sine table of
+``reaction._SineTransform``, on the quadrature grid.
 """
 from __future__ import annotations
 
@@ -40,42 +43,22 @@ def unit_interval() -> RectDomain:
     return RectDomain(sides=((0.0, 1.0),))
 
 
-def eigenvalue(domain: RectDomain, alpha: float, m):
-    """Eigenvalue of the fractional Dirichlet Laplacian per multi-index m (last axis).
-
-    Returns ( sum_i (m_i pi / (b_i - a_i))^2 )^alpha.  The fractional power
-    is the spectral one, applied to the full Dirichlet eigenvalue.
-    """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    m = np.atleast_1d(np.asarray(m, dtype=np.int64))
-    if m.shape[-1] != domain.d:
-        raise ValueError(f"multi-index has {m.shape[-1]} entries, domain is {domain.d}-d")
-    if np.any(m < 1):
-        raise ValueError("multi-index entries must be >= 1")
-    return np.sum((m * np.pi / domain.lengths) ** 2, axis=-1) ** alpha
-
-
-def _enumerate_sorted_modes(domain: RectDomain, alpha: float, n: int):
-    """First n multi-indices sorted by eigenvalue, ties broken lexicographically."""
+def _enumerate_sorted_modes(domain: RectDomain, n: int):
+    """First n multi-indices sorted by mu (module doc), ties broken lexicographically; their mu."""
     d = domain.d
     box = max(2, math.ceil(n ** (1.0 / d)) + 1)
     L = domain.lengths
+    k2 = (np.pi / L) ** 2
     while True:
         axes = [np.arange(1, box + 1, dtype=np.int64)] * d
         grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
-        lams = eigenvalue(domain, alpha, grid)
-        keys = tuple(grid[:, i] for i in reversed(range(d))) + (lams,)
-        order = np.lexsort(keys)
-        if len(order) >= n:
-            nth = lams[order[n - 1]]
-            # Cheapest eigenvalue reachable outside the box: one index at
-            # box+1 (in the longest side), the rest at 1.
-            base_min = np.sum((np.pi / L) ** 2) - (np.pi / L.max()) ** 2
-            outside = (base_min + ((box + 1) * np.pi / L.max()) ** 2) ** alpha
-            if outside > nth:
-                sel = order[:n]
-                return grid[sel], lams[sel]
+        mus = np.sum((grid * np.pi / L) ** 2, axis=-1)
+        order = np.lexsort(tuple(grid[:, i] for i in reversed(range(d))) + (mus,))
+        # cheapest mu outside the box: one index at box+1 (in the longest side), the rest at 1
+        outside = np.sum(k2) - k2.min() + ((box + 1) * np.pi / L.max()) ** 2
+        if len(order) >= n and outside > mus[order[n - 1]]:
+            sel = order[:n]
+            return grid[sel], mus[sel]
         box *= 2
 
 
@@ -93,5 +76,9 @@ class EigenSpectrum:
     def synthesize(cls, domain: RectDomain, alpha: float, n: int) -> "EigenSpectrum":
         if n < 1:
             raise ValueError("need at least one mode")
-        modes, lams = _enumerate_sorted_modes(domain, alpha, n)
+        modes, mus = _enumerate_sorted_modes(domain, n)
+        with np.errstate(over="ignore"):
+            lams = mus**alpha
+        if not math.isfinite(2.0 * float(lams[-1])):  # the largest, and its rate 2 lambda
+            raise ValueError(f"alpha = {alpha} makes eigenvalue {n} overflow a float")
         return cls(lambdas=lams, modes=modes)

@@ -1,6 +1,8 @@
 """Independent references the tests check the program against; no program code calls them."""
+import itertools
 import math
 
+import numpy as np
 from scipy import integrate
 
 from spdelab.kernels import PowerSeriesKernel
@@ -34,3 +36,19 @@ def steep_growth_epsilon_integral(k: PowerSeriesKernel, eps: float) -> tuple[boo
     if k.p * (1.0 - eps) - (1 if k.mode_factor else 0) > 1.0:
         raise ValueError("the steep-growth rule decides only the divergent side")
     return False, math.inf
+
+
+def sorted_box_modes(lengths, n: int):
+    """(modes (n, d), mu (n,)): the first n Dirichlet multi-indices of the box with side
+    ``lengths``, by a brute-force sort of every index of a box of indices large enough to
+    hold them, on mu = sum_i (m_i pi / L_i)^2 with lexicographic ties.  No alpha enters."""
+    def mu(m):  # x * x, the square numpy's ** 2 computes (libm's pow may round differently)
+        return sum((k * math.pi / L) * (k * math.pi / L) for k, L in zip(m, lengths))
+
+    d = len(lengths)
+    box = math.ceil((2 * n) ** (1 / d) * max(lengths) / min(lengths)) + 2
+    ranked = sorted(itertools.product(range(1, box + 1), repeat=d), key=lambda m: (mu(m), m))
+    # every index outside the box has some m_i = box + 1, so its mu is at least this
+    outside = min(mu([box + 1 if j == i else 1 for j in range(d)]) for i in range(d))
+    assert mu(ranked[n - 1]) < outside, "index box too small"
+    return np.array(ranked[:n]), np.array([mu(m) for m in ranked[:n]])

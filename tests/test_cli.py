@@ -3,6 +3,7 @@ import json
 import math
 import os
 import re
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -557,6 +558,26 @@ def test_bad_input_file_exits_2(model, experiment, named, tmp_path, capsys):
     assert err.startswith("configuration error: ")
     assert err.count("\n") == 1
     assert named in err
+
+
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1536 << 20, 1536 << 20))
+
+
+def test_alpha_whose_eigenvalues_overflow_exits_2(tmp_path):
+    # at alpha = 40 eigenvalue 4096 of K_sigma's spectrum overflows a float.  A mode search
+    # that compared overflowing eigenvalues doubled its index box until memory ran out, so
+    # the run is capped at 1.5 GB of address space and 60 s
+    model = tmp_path / "a40.ini"
+    model.write_text(RD_MODEL.replace("value = 2.0", "value = 40.0")
+                     .replace("n = 8\nquad_points = 32", "n = 16\nquad_points = 64"))
+    proc = subprocess.run([sys.executable, "-m", "spdelab.cli", "constants", "--model",
+                           str(model)], capture_output=True, text=True,
+                          env=dict(_env(), OPENBLAS_NUM_THREADS="1"),
+                          preexec_fn=_cap_address_space, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr == ("configuration error: alpha = 40.0 makes eigenvalue 4096 overflow "
+                           "a float\n")
 
 
 def test_invariant_reports_the_seed_its_stream_uses(tmp_path):

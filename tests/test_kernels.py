@@ -25,7 +25,7 @@ LOG6 = math.log(6.0)
 def mode_series_d1(c: float, alpha: float, n_modes: int = 4096) -> ModeSeriesKernel:
     m = np.arange(1, n_modes + 1, dtype=float)
     return ModeSeriesKernel(weight=2 * c**2, rates=2 * (m * np.pi) ** (2 * alpha),
-                            rate_exponent=2 * alpha)
+                            rate_exponent=2 * alpha, kappa=2 * math.pi ** (2 * alpha))
 
 
 def power_series_value(C: float, delta: float, p: float, t: float) -> float:
@@ -100,7 +100,7 @@ def test_integral_tail_warned_once():
         "from spdelab.kernels import ModeSeriesKernel",
         "m = np.arange(1, 4097, dtype=float)",
         "k = ModeSeriesKernel(weight=1.0, rates=2 * (m * np.pi) ** 1.2,",
-        "                     rate_exponent=1.2)",
+        "                     rate_exponent=1.2, kappa=2 * np.pi ** 1.2)",
         "k.integral(0.1), k.value(0.1), k.integral(0.2)",
     ])
     env = dict(os.environ, PYTHONPATH=str(Path(spdelab.__file__).parents[1]))
@@ -116,8 +116,8 @@ def test_unsorted_rates_keep_their_weights():
     # the kernel sorts its rates, which the tail envelope reads in order; the one weight
     # belongs to every rate
     with pytest.warns(UserWarning, match="tail bound"):  # two modes leave a large tail
-        unsorted = ModeSeriesKernel(weight=2.0, rates=[10.0, 1.0], rate_exponent=3.0)
-        ordered = ModeSeriesKernel(weight=2.0, rates=[1.0, 10.0], rate_exponent=3.0)
+        unsorted = ModeSeriesKernel(weight=2.0, rates=[10.0, 1.0], rate_exponent=3.0, kappa=1.0)
+        ordered = ModeSeriesKernel(weight=2.0, rates=[1.0, 10.0], rate_exponent=3.0, kappa=1.0)
         for method, arg in ((ModeSeriesKernel.value, 0.5), (ModeSeriesKernel.integral, 1.0),
                             (ModeSeriesKernel.epsilon_integral, 0.5)):
             assert method(unsorted, arg) == method(ordered, arg)
@@ -127,7 +127,7 @@ def test_unsorted_rates_keep_their_weights():
 
 def test_value_tail_warning_names_calling_line():
     # rates growing like m leave a value tail far above tolerance at every t
-    k = ModeSeriesKernel(weight=1.0, rates=np.arange(1.0, 9.0), rate_exponent=1.0)
+    k = ModeSeriesKernel(weight=1.0, rates=np.arange(1.0, 9.0), rate_exponent=1.0, kappa=1.0)
     with warnings.catch_warnings(record=True) as rec:
         warnings.simplefilter("always")
         line = inspect.currentframe().f_lineno + 1
@@ -153,7 +153,8 @@ def test_tail_above_tolerance_under_huge_weight_moves_t0():
     assert prof.Kb.integral(prof.t0) + k.integral(prof.t0) <= 1.0 / 6.0
     rates = 2.0 * EigenSpectrum.synthesize(model.domain, model.alpha, 4 * 4096).lambdas
     with pytest.warns(UserWarning, match="integral tail bound"):
-        more = ModeSeriesKernel(weight=k.weight, rates=rates, rate_exponent=k.rate_exponent)
+        more = ModeSeriesKernel(weight=k.weight, rates=rates, rate_exponent=k.rate_exponent,
+                                kappa=k.kappa)
     assert more.integral(prof.t0) > 1.0 / 6.0
 
 

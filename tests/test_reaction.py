@@ -9,7 +9,7 @@ from spdelab.reaction import (ReactionDiffusionModel, ScalarFunctionSpec,
                               build_callbacks, build_profile,
                               check_growth_condition, exact_Ksigma,
                               spot_check_lipschitz, spot_check_square_bounds)
-from spdelab.spectral import RectDomain, unit_interval
+from spdelab.spectral import EigenSpectrum, RectDomain, unit_interval
 
 from oracles import steep_growth_epsilon_integral
 
@@ -260,6 +260,27 @@ class TestExactKsigma:
         for model, k in ((rd16, exact_Ksigma(rd16)), (square, square_k)):
             np.testing.assert_array_equal(k.rates[:model.n], 2 * model.spectrum.lambdas)
 
+    @pytest.mark.parametrize("sides, alpha", [
+        (((0, 1), (0, 1)), 2.0), (((0, 1), (0, 2)), 1.5), (((0, 1), (0, 2)), 2.0),
+    ], ids=["square-2", "1x2-1.5", "1x2-2"])
+    def test_kappa_bounds_every_rate(self, sides, alpha):
+        # Polya's bound holds past the stored modes too: no rate among 4x as many lies
+        # below kappa m^p (a fit on the stored modes' second half left 11,385 of modes
+        # 4,097-16,384 below it on the unit square at alpha = 2)
+        model = make_model(ZERO, SIN_PHI, alpha=alpha, domain=RectDomain(sides))
+        with pytest.warns(UserWarning, match="integral tail bound"):
+            k = exact_Ksigma(model)
+        rates = 2.0 * EigenSpectrum.synthesize(model.domain, alpha, 4 * k.rates.size).lambdas
+        m = np.arange(1, rates.size + 1, dtype=float)
+        assert np.all(rates >= k.kappa * m**k.rate_exponent)
+
+    @pytest.mark.parametrize("L", [1.0, 2.5, 100.0])
+    @pytest.mark.parametrize("alpha", [0.6, 2.0, 2.7])
+    def test_kappa_in_1d(self, L, alpha):
+        # omega_1 |Omega| = 2L: kappa = 2 (pi / L)^(2 alpha), the exact envelope of 2 lambda_m
+        k = exact_Ksigma(make_model(ZERO, CONST_PHI, alpha=alpha, domain=RectDomain(((0, L),))))
+        assert k.kappa == pytest.approx(2 * (math.pi / L) ** (2 * alpha), rel=1e-13)
+
     def test_constant_phi_zero_kernel(self):
         k = exact_Ksigma(make_model(ZERO, CONST_PHI))
         assert k.value(0.5) == 0.0
@@ -347,6 +368,20 @@ class TestGrowthCondition:
 
     def test_zero_model(self):
         assert check_growth_condition(make_model(ZERO, ZERO), 0.01, 0.01)
+
+    def test_violation_past_the_sampled_range(self):
+        # (s + 1)^2 - (1.0001 s^2 + 3001) = 1e-4 (s - 1633)(18367 - s) is positive only for
+        # 1633 < s < 18367, outside |s| <= 1e3; the envelope radius 18367 widens the grid
+        model = make_model(ZERO, ScalarFunctionSpec.affine(1.0, 1.0), n=16, q=64)
+        assert not check_growth_condition(model, 1.0001, 3001.0)
+        # with C0 = 1e5 the quadratic has no real root: it holds everywhere
+        assert check_growth_condition(model, 1.0001, 1e5)
+
+    def test_envelope_slope_equal_to_eps0(self):
+        # phi = s: s^2 <= s^2 + C0 holds; phi = s + 1 leaves 2s + 1 - C0, which grows
+        assert check_growth_condition(make_model(ZERO, IDENT), 1.0, 0.5)
+        assert not check_growth_condition(make_model(ZERO, ScalarFunctionSpec.affine(1.0, 1.0)),
+                                          1.0, 1e6)
 
 
 class TestMomentHarness:

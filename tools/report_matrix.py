@@ -40,8 +40,18 @@ at t = 40 and t = 60 on a model file with a Lipschitz drift (slope 0.1) and slow
 (L = 100, alpha = 0.6), where t0 is 1 and the bound holds (it reads e^{2(0.1 - lambda_1) t}
 for mode 1's deterministic flow).  One
 ``constants`` case on ``ou8`` writes to ``--out missing/report.json``, whose directory does
-not exist (it exits 2).  Each case gets a directory holding ``stdout``, ``stderr`` and
-``exit_code``.
+not exist (it exits 2).  ``constants`` reads a model file with alpha = 40, whose eigenvalue
+4096 overflows a float (it exits 2 with one line naming alpha), and ``invariant`` runs on
+a model file with phi = s + 1 at eps0 = 1.0001, C0 = 3001, whose growth condition fails
+only for 1633 < |s| < 18367 (it reports ``"holds": false`` and exits 2).  Each case gets
+a directory holding ``stdout``, ``stderr`` and ``exit_code``.
+
+Every case runs under a timeout of ``TIMEOUT_S`` seconds and an address-space cap of
+``ADDRESS_SPACE`` bytes (``RLIMIT_AS``, set in the child before it starts), so a hang or a
+runaway allocation ends the case instead of the job or the machine.  A case that times
+out (exit code ``timeout``) or raises ``MemoryError`` is a finding too.  On a 2-vCPU
+host the largest case maps 0.37 GB at its peak and the slowest runs 1.2 s, far inside
+both limits.
 
 Each case runs in a fresh interpreter with ``PYTHONPATH=SRC`` and, as working
 directory, a scratch directory holding the experiment and model files, so the
@@ -57,6 +67,7 @@ from __future__ import annotations
 import argparse
 import os
 import re
+import resource
 import subprocess
 import sys
 import tempfile
@@ -181,10 +192,38 @@ n = 16
 quad_points = 64
 """
 
+# phi = s + 1 breaks phi^2 + psi^2 <= 1.0001 s^2 + 3001 only for 1633 < |s| < 18367
+GROWTH_MODEL = """[model]
+kind = reaction_diffusion
+[domain]
+d = 1
+side_0 = 0 1
+[alpha]
+value = 2.0
+[psi]
+form = affine
+a = 0.0
+b = 0.0
+[phi]
+form = affine
+a = 1.0
+b = 1.0
+[galerkin]
+n = 16
+quad_points = 64
+"""
+
 MODEL_FILES = {"alpha06.ini": SLOW_TAIL_MODEL, "ou.ini": OU_MODEL, "rd2d.ini": RD2D_MODEL,
                "floatn.ini": SLOW_TAIL_MODEL.replace("n = 8", "n = 1.5"),
                "bigamp.ini": SLOW_TAIL_MODEL.replace("amp = 0.1", "amp = 1e200"),
-               "steep.ini": STEEP_MODEL, "lipschitz.ini": LIPSCHITZ_MODEL}
+               "alpha40.ini": SLOW_TAIL_MODEL.replace("value = 0.6", "value = 40.0")
+               .replace("n = 8\nquad_points = 32", "n = 16\nquad_points = 64"),
+               "steep.ini": STEEP_MODEL, "lipschitz.ini": LIPSCHITZ_MODEL,
+               "growth.ini": GROWTH_MODEL}
+
+# the limits every case runs under (module doc)
+TIMEOUT_S = 300
+ADDRESS_SPACE = 2 << 30  # bytes
 
 COMMANDS = (["validate"], ["constants"], ["check", "gradient"], ["check", "logharnack"],
             ["check", "variance"], ["check", "poincare"], ["check", "flowbound"],
@@ -228,16 +267,24 @@ def cases():
                f"lipschitz{t}")
     yield ("constants_ou8_unwritable-out_t1",
            ["constants", "--model", "preset:ou8", "--out", "missing/report.json"], "small")
+    yield "constants_alpha40-file_small_t1", ["constants", "--model", "alpha40.ini"], "small"
+    yield ("invariant_growth-file_wide_t1",
+           ["invariant", "--model", "growth.ini", "--threads", "1"], "wide")
 
 
 def write_inputs(work: Path):
     for name, cfg in (("small", SMALL), ("huge", HUGE), ("chunks", CHUNKS),
                       ("twoblocks", TWOBLOCKS), ("lipschitz40", dict(LIPSCHITZ, t="40")),
-                      ("lipschitz60", dict(LIPSCHITZ, t="60")), *EDGES.items()):
+                      ("lipschitz60", dict(LIPSCHITZ, t="60")),
+                      ("wide", dict(SMALL, eps0="1.0001", c0="3001")), *EDGES.items()):
         body = "[experiment]\n" + "".join(f"{k} = {v}\n" for k, v in cfg.items())
         (work / f"{name}.ini").write_text(body)
     for name, body in MODEL_FILES.items():
         (work / name).write_text(body)
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE, ADDRESS_SPACE))
 
 
 def main(argv=None) -> int:
@@ -248,26 +295,35 @@ def main(argv=None) -> int:
     src = str(Path(args.src).resolve())
     out = Path(args.out)
     env = dict(os.environ, PYTHONPATH=src)
-    printed, crashed, warned = {}, [], []
+    printed, crashed, warned, limited = {}, [], [], []
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         write_inputs(work)
         for name, cmd, cfg in cases():
-            proc = subprocess.run([sys.executable, "-m", "spdelab.cli", *cmd,
-                                   "--config", f"{cfg}.ini"],
-                                  cwd=work, env=env, capture_output=True, text=True)
+            try:
+                proc = subprocess.run([sys.executable, "-m", "spdelab.cli", *cmd,
+                                       "--config", f"{cfg}.ini"],
+                                      cwd=work, env=env, capture_output=True, text=True,
+                                      timeout=TIMEOUT_S, preexec_fn=_limit_address_space)
+                stdout, stderr, code = proc.stdout, proc.stderr, proc.returncode
+            except subprocess.TimeoutExpired:
+                stdout, stderr, code = "", "", "timeout"
             case = out / name
             case.mkdir(parents=True, exist_ok=True)
-            (case / "stdout").write_text(proc.stdout)
+            (case / "stdout").write_text(stdout)
             (case / "stderr").write_text(re.sub(r"(<src>/spdelab/\w+\.py):\d+:", r"\1:<line>:",
-                                                proc.stderr.replace(src, "<src>")))
-            (case / "exit_code").write_text(f"{proc.returncode}\n")
-            printed[name] = proc.stdout
-            if "Traceback (most recent call last)" in proc.stderr:
+                                                stderr.replace(src, "<src>")))
+            (case / "exit_code").write_text(f"{code}\n")
+            printed[name] = stdout
+            if "Traceback (most recent call last)" in stderr:
                 crashed.append(name)
-            if "RuntimeWarning" in proc.stderr:
+            if "RuntimeWarning" in stderr:
                 warned.append(name)
-            print(f"{proc.returncode} {name}", flush=True)
+            if code == "timeout":
+                limited.append(f"{name} ran past its {TIMEOUT_S} s timeout")
+            elif "MemoryError" in stderr:
+                limited.append(f"{name} ran out of its {ADDRESS_SPACE >> 30} GiB address space")
+            print(f"{code} {name}", flush=True)
     differ = [name for name in printed if name.endswith("_t1")
               and name[:-1] + "2" in printed and printed[name] != printed[name[:-1] + "2"]]
     for name in differ:
@@ -276,7 +332,9 @@ def main(argv=None) -> int:
         print(f"traceback in the stderr of {name}", file=sys.stderr)
     for name in warned:
         print(f"RuntimeWarning in the stderr of {name}", file=sys.stderr)
-    return 1 if differ or crashed or warned else 0
+    for line in limited:
+        print(line, file=sys.stderr)
+    return 1 if differ or crashed or warned or limited else 0
 
 
 if __name__ == "__main__":
