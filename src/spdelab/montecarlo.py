@@ -241,7 +241,14 @@ class MonteCarlo:
             "pair": _pairing(f), "f": lambda r: f.eval(r["x"])}, v=v)
         lhs, lhs_se = _directional_sq(st["pair"], v)
         rhs, rhs_se = const * st["f"].var, const * st["f"].se_var
-        return self._report("variance_gradient", lhs, lhs_se, rhs, rhs_se, const, t, M)
+        rep = self._report("variance_gradient", lhs, lhs_se, rhs, rhs_se, const, t, M)
+        # where the float spacing of f's values swallows the noise, a zero variance refutes nothing
+        sd, spacing = math.sqrt(st["f"].var), float(np.spacing(abs(st["f"].mean)))
+        if not rep.passed and not sd > spacing:
+            raise EstimationError(
+                f"variance_gradient check: the variance of f(X_t) is unresolved (its square "
+                f"root {sd:.3g} is not above the float spacing {spacing:.3g} of its mean)")
+        return rep
 
     def check_poincare(self, f: Functional, x0, t: float, t0: float,
                        lambda_bar: float, M: int) -> CheckReport:

@@ -208,7 +208,7 @@ def test_criterion_8_moment_boundedness(rd16):
            f"(4se {4 * se_last:.3f})")
 
 
-def test_criterion_9_reproducibility(tmp_path):
+def test_criterion_9_reproducibility(tmp_path, map_blocks_calls):
     model = tmp_path / "model.ini"
     model.write_text("""
 [model]
@@ -231,7 +231,8 @@ n = 16
 quad_points = 64
 """)
     exp = tmp_path / "exp.ini"
-    exp.write_text("[experiment]\nt = 0.05\nm = 400\nf = sin1\nt_end = 0.02\n"
+    # 4100 paths: every sampling command runs two blocks, on the pool at --threads 4
+    exp.write_text("[experiment]\nt = 0.05\nm = 4100\nf = sin1\nt_end = 0.02\n"
                    "dt = 2e-3\nn_list = 2 4\nbign = 8\ncheckpoints = 2\n")
     commands = {
         "validate": ["validate", "--model", str(model)],
@@ -251,5 +252,7 @@ quad_points = 64
                 assert code == 0, (name, code)
                 outputs.append(out.read_bytes())
         ok &= all(o == outputs[0] for o in outputs[1:])
+    # check, converge and invariant: one sampling call per run
+    assert map_blocks_calls == [(1, 2), (4, 2)] * 6
     report("criterion 9: byte-identical outputs across reruns and thread counts",
            ok, f"{len(commands)} commands x 2 runs x threads {{1,4}}")

@@ -20,9 +20,10 @@ def ou_mc(lambdas, phi0=1.0, seed=100, threads=1, dt=1e-3):
                       NoiseStream(seed=seed, width=lams.size), dt=dt, threads=threads)
 
 
-def rd_mc(rd16, rd16_callbacks, seed=100, threads=1, dt=2e-3):
+def rd_mc(rd16, rd16_callbacks, seed=100, threads=1, dt=2e-3, batch_size=2048):
     return MonteCarlo(rd16.spectrum.lambdas, rd16_callbacks,
-                      NoiseStream(seed=seed, width=16), dt=dt, threads=threads)
+                      NoiseStream(seed=seed, width=16), dt=dt, threads=threads,
+                      batch_size=batch_size)
 
 
 def coupled_fd(mc, f, x0, v, eps, t, M):
@@ -225,12 +226,15 @@ class TestReproducibility:
                 for _ in range(2)]
         assert reps[0] == reps[1]
 
-    def test_thread_count_invariance(self, rd16_profile, rd16, rd16_callbacks):
-        reps = [rd_mc(rd16, rd16_callbacks, seed=9, threads=th)
+    def test_thread_count_invariance(self, rd16_profile, rd16, rd16_callbacks,
+                                     map_blocks_calls):
+        # 600 paths in blocks of 300, on the pool at threads 4
+        reps = [rd_mc(rd16, rd16_callbacks, seed=9, threads=th, batch_size=300)
                 .check_poincare(sin_coordinate(0), np.zeros(16), 0.05,
                                 rd16_profile.t0, rd16_profile.lambda_bar_sigma,
                                 600).to_json()
                 for th in (1, 4)]
+        assert map_blocks_calls == [(1, 2), (4, 2)]
         assert reps[0] == reps[1]
 
     def test_report_json_keeps_its_types(self):
