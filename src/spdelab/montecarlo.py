@@ -81,6 +81,15 @@ def _require_finite(what: str, **fields):
             raise EstimationError(f"{what}: {key} is not finite ({value})")
 
 
+def _require_resolved(name: str, f: Stats):
+    """Raise ``EstimationError`` where the float spacing of f's values swallows the noise."""
+    sd, spacing = math.sqrt(f.var), float(np.spacing(abs(f.mean)))
+    if not sd > spacing:
+        raise EstimationError(
+            f"{name} check: the variance of f(X_t) is unresolved (its square root {sd:.3g} "
+            f"is not above the float spacing {spacing:.3g} of its mean)")
+
+
 @dataclass
 class CheckReport:
     """One inequality verification record."""
@@ -242,12 +251,8 @@ class MonteCarlo:
         lhs, lhs_se = _directional_sq(st["pair"], v)
         rhs, rhs_se = const * st["f"].var, const * st["f"].se_var
         rep = self._report("variance_gradient", lhs, lhs_se, rhs, rhs_se, const, t, M)
-        # where the float spacing of f's values swallows the noise, a zero variance refutes nothing
-        sd, spacing = math.sqrt(st["f"].var), float(np.spacing(abs(st["f"].mean)))
-        if not rep.passed and not sd > spacing:
-            raise EstimationError(
-                f"variance_gradient check: the variance of f(X_t) is unresolved (its square "
-                f"root {sd:.3g} is not above the float spacing {spacing:.3g} of its mean)")
+        if not rep.passed:  # an unresolved variance refutes nothing
+            _require_resolved("variance_gradient", st["f"])
         return rep
 
     def check_poincare(self, f: Functional, x0, t: float, t0: float,
@@ -260,7 +265,10 @@ class MonteCarlo:
         })
         lhs, lhs_se = st["f"].var, st["f"].se_var
         rhs, rhs_se = const * st["gradsq"].mean, const * st["gradsq"].se
-        return self._report("poincare", lhs, lhs_se, rhs, rhs_se, const, t, M)
+        rep = self._report("poincare", lhs, lhs_se, rhs, rhs_se, const, t, M)
+        if rhs > 0:  # an unresolved variance passes any positive bound, proving nothing
+            _require_resolved("poincare", st["f"])
+        return rep
 
     def check_flow_bound(self, x0, v, t: float, t0: float, M: int) -> CheckReport:
         """E |J_t|^2 <= 6^{(t+t0)/t0} |v|^2 for the derivative flow J started at v."""

@@ -48,9 +48,9 @@ class ScalarFunctionSpec:
     call, whose first entry is ``fn(s)`` bit for bit.  ``sin_perturbed``'s
     pair comes from one half-angle tangent (error bound and bits: module doc).
 
-    ``inf_sq``/``sup_sq`` bound the squared function over the reals (they feed
-    the ellipticity constants); ``growth_sq_slope`` is limsup g(s)^2/s^2,
-    used by the quadratic-growth condition.
+    ``lipschitz``, ``inf_sq`` and ``sup_sq`` are exact by formula: the Lipschitz
+    constant, and the bounds of the squared function over the reals (they feed
+    the ellipticity constants).
     """
 
     fn: Callable
@@ -58,16 +58,15 @@ class ScalarFunctionSpec:
     lipschitz: float
     inf_sq: float
     sup_sq: float
-    growth_sq_slope: float = 0.0
 
     @classmethod
     def affine(cls, a: float, b: float) -> "ScalarFunctionSpec":
+        a**2  # K_b is a^2: a slope whose square overflows fails here, where the form is named
         return cls(fn=lambda s: a * s + b,
                    deriv=lambda s: (a * s + b, np.full_like(np.asarray(s, float), a)),
                    lipschitz=abs(a),
                    inf_sq=0.0 if a != 0 else b**2,
-                   sup_sq=math.inf if a != 0 else b**2,
-                   growth_sq_slope=a**2)
+                   sup_sq=math.inf if a != 0 else b**2)
 
     @classmethod
     def sin_perturbed(cls, c0: float, amp: float, freq: float) -> "ScalarFunctionSpec":
@@ -96,11 +95,10 @@ class ScalarFunctionSpec:
                    sup_sq=(a * half_pi) ** 2)
 
     @classmethod
-    def custom(cls, fn, lipschitz, inf_sq, sup_sq, deriv,
-               growth_sq_slope=0.0) -> "ScalarFunctionSpec":
+    def custom(cls, fn, lipschitz, inf_sq, sup_sq, deriv) -> "ScalarFunctionSpec":
         """``deriv`` here is g' alone; the spec stores the pair map built from it."""
         return cls(fn=fn, deriv=lambda s: (fn(s), deriv(s)), lipschitz=lipschitz,
-                   inf_sq=inf_sq, sup_sq=sup_sq, growth_sq_slope=growth_sq_slope)
+                   inf_sq=inf_sq, sup_sq=sup_sq)
 
 
 def _sin_perturbed(s, c0: float, amp: float, freq: float, slope: bool):
@@ -126,23 +124,6 @@ def _sin_perturbed(s, c0: float, amp: float, freq: float, slope: bool):
     cos_num /= den
     cos_num *= -(amp * freq)
     return t, cos_num
-
-
-def spot_check_lipschitz(spec: ScalarFunctionSpec) -> bool:
-    """Sample pairs and test |g(r)-g(s)| <= L |r-s| (declared constant honest?)."""
-    rng = np.random.default_rng(0)
-    r = rng.normal(scale=10.0, size=10_000)
-    s = rng.normal(scale=10.0, size=10_000)
-    lhs = np.abs(np.asarray(spec.fn(r)) - np.asarray(spec.fn(s)))
-    return bool(np.all(lhs <= spec.lipschitz * np.abs(r - s) * (1.0 + 1e-9) + 1e-15))
-
-
-def spot_check_square_bounds(spec: ScalarFunctionSpec) -> bool:
-    """Test inf_sq <= g(s)^2 <= sup_sq on a grid over [-50, 50]."""
-    g2 = np.asarray(spec.fn(np.linspace(-50.0, 50.0, 20_001))) ** 2
-    ok_low = np.all(g2 >= spec.inf_sq * (1.0 - 1e-9) - 1e-15)
-    ok_high = spec.sup_sq == math.inf or np.all(g2 <= spec.sup_sq * (1.0 + 1e-9) + 1e-15)
-    return bool(ok_low and ok_high)
 
 
 @dataclass(frozen=True)
@@ -311,12 +292,10 @@ def check_growth_condition(model: ReactionDiffusionModel, eps0: float, C0: float
 
     The declared envelopes |g(s)| <= |g(0)| + L|s|, capped by sqrt(sup_sq) where finite,
     settle it past a radius R; inside, it is checked on a symmetric log-spaced grid out to
-    max(1e3, R).  It fails where the declared slopes of g^2 or the envelopes exceed eps0.
+    max(1e3, R).  It fails at once where the squared envelopes' s^2 coefficient exceeds eps0.
     """
     if eps0 <= 0 or C0 <= 0:
         raise ValueError("growth condition needs eps0, C0 > 0")
-    if model.phi.growth_sq_slope + model.psi.growth_sq_slope > eps0:
-        return False
     a = b = c = 0.0  # the squared envelopes sum to a s^2 + b |s| + c
     for g in (model.phi, model.psi):
         if math.isfinite(g.sup_sq):

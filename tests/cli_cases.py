@@ -94,6 +94,10 @@ STEEP_MODEL = RD_MODEL.replace("atan_scaled\na = 0.5", "affine\na = 1e150\nb = 0
 # holds only because t0 is at most 1
 LIPSCHITZ_MODEL = STEEP_MODEL.replace("0 1\n", "0 100\n").replace("2.0", "0.6").replace(
     "a = 1e150", "a = 0.1")
+# rd16 with the drift psi = 0.5 s + 1e4: its declared Lipschitz constant 0.5 is exact, though
+# g's rounding near 1e4 exceeds 0.5 |r - s| for nearby r, s
+AFFINE_FORCING_MODEL = RD_MODEL.replace("atan_scaled\na = 0.5", "affine\na = 0.5\nb = 1e4").replace(
+    "n = 8\nquad_points = 32", "n = 16\nquad_points = 64")
 # phi = s + 1, psi = 0 breaks phi^2 + psi^2 <= 1.0001 s^2 + 3001 only for 1633 < |s| < 18367
 GROWTH_MODEL = STEEP_MODEL.replace("a = 1e150", "a = 0.0").replace("a = 0.0\nb = 1.0",
                                                                    "a = 1.0\nb = 1.0")
@@ -313,6 +317,7 @@ NONFINITE = (
 # inputs; the matrix names each such row's runs <id>_t1 and <id>_t2
 OU_FILE, RD2D = "--model ou.ini", "--model rd2d.ini"
 HUGE_VARIANCE = "variance_gradient check: the variance of f(X_t) is unresolved"
+HUGE_POINCARE = "poincare check: the variance of f(X_t) is unresolved"
 REPORTS = (
     Case("validate_rd16_small", f"validate {RD16}", None, SMALL, 0),
     Case("constants_rd16_small", f"constants {RD16}", None, SMALL, 0),
@@ -330,7 +335,7 @@ REPORTS = (
     Case("check-gradient_rd16_huge", f"check gradient {RD16}", None, HUGE, 0),
     Case("check-logharnack_rd16_huge", f"check logharnack {RD16}", None, HUGE, 2, POSITIVE_F),
     Case("check-variance_rd16_huge", f"check variance {RD16}", None, HUGE, 3, HUGE_VARIANCE),
-    Case("check-poincare_rd16_huge", f"check poincare {RD16}", None, HUGE, 0),
+    Case("check-poincare_rd16_huge", f"check poincare {RD16}", None, HUGE, 3, HUGE_POINCARE),
     Case("check-flowbound_rd16_huge", f"check flowbound {RD16}", None, HUGE, 0),
     Case("converge_rd16_huge", f"converge {RD16}", None, HUGE, 0),
     Case("invariant_rd16_huge", f"invariant {RD16}", None, HUGE, 3, MOMENT_OVERFLOW),
@@ -352,7 +357,7 @@ REPORTS = (
     Case("check-gradient_ou8_huge", f"check gradient {OU8}", None, HUGE, 0),
     Case("check-logharnack_ou8_huge", f"check logharnack {OU8}", None, HUGE, 2, POSITIVE_F),
     Case("check-variance_ou8_huge", f"check variance {OU8}", None, HUGE, 3, HUGE_VARIANCE),
-    Case("check-poincare_ou8_huge", f"check poincare {OU8}", None, HUGE, 0),
+    Case("check-poincare_ou8_huge", f"check poincare {OU8}", None, HUGE, 3, HUGE_POINCARE),
     Case("check-flowbound_ou8_huge", f"check flowbound {OU8}", None, HUGE, 0),
     Case("converge_ou8_huge", f"converge {OU8}", None, HUGE, 3, GAP_OVERFLOW),
     Case("invariant_ou8_huge", f"invariant {OU8}", None, HUGE, 3, MOMENT_OVERFLOW),
@@ -440,9 +445,12 @@ REPORTS = (
          SMALL, 2, "could not write output file 'missing/report.json'"),
     Case("constants_alpha40-file_small", "constants --model alpha40.ini", ALPHA40_MODEL, SMALL,
          2, "alpha = 40.0 makes eigenvalue 4096 overflow a float"),
-    # reports "holds": false, and prints nothing on stderr
+    # reports "holds": false
     Case("invariant_growth-file_wide", "invariant --model growth.ini", GROWTH_MODEL,
-         dict(SMALL, eps0="1.0001", c0="3001"), 2),
+         dict(SMALL, eps0="1.0001", c0="3001"), 2, "assumption failed: growth_condition"),
+    # validate reads the declared constants, which hold for any forcing b
+    Case("validate_affine-forcing", "validate --model affine-forcing.ini", AFFINE_FORCING_MODEL,
+         SMALL, 0),
 )
 
 CASES = BAD_CONFIG + BAD_INPUT + NONFINITE + REPORTS

@@ -18,7 +18,7 @@ from spdelab.montecarlo import MonteCarlo
 from spdelab.noise import NoiseStream
 from spdelab.simulate import SchemeConfig, simulate_batch
 
-from cli_cases import (ALPHA06_MODEL, ALPHA40_MODEL, BAD_CONFIG, BAD_INPUT, LINEAR_PHI_MODEL,
+from cli_cases import (ALPHA06_MODEL, ALPHA40_MODEL, BAD_CONFIG, BAD_INPUT, CASES, LINEAR_PHI_MODEL,
                        NONFINITE, OU4_MODEL, OU8_MODEL, OVERFLOW, RD2D_MODEL, RD2D_Q64_MODEL,
                        RD_MODEL, REPORTS, STEEP_MODEL)
 
@@ -337,9 +337,13 @@ def _run_row(row, tmp_path, monkeypatch, capsys):
         code = main(argv)
     err = capsys.readouterr().err
     assert code == row.code, err
-    if err:  # one line naming the failure, and no report
-        assert err.startswith(FAILURE[code]) and err.count("\n") == 1, err
-        assert not Path(argv[argv.index("--out") + 1]).exists()
+    if err:  # one line naming the failure: a failed assumption with its report, else no report
+        assert err.count("\n") == 1, err
+        report = Path(argv[argv.index("--out") + 1]).exists()
+        if code == 2 and err.startswith("assumption failed: "):
+            assert report, err
+        else:
+            assert err.startswith(FAILURE[code]) and not report, err
     if not row.warns:
         assert row.stderr in err if row.stderr else err == ""
 
@@ -362,6 +366,11 @@ def test_nonfinite_estimate_exits_3(row, tmp_path, monkeypatch, capsys):
 @pytest.mark.parametrize("row", REPORTS, ids=lambda row: row.id)
 def test_report_case(row, tmp_path, monkeypatch, capsys):
     _run_row(row, tmp_path, monkeypatch, capsys)
+
+
+def test_every_failure_row_quotes_its_line():
+    # exit codes 2 and 3 always come with one stderr line, so a row with either quotes it
+    assert [row.id for row in CASES if row.code in (2, 3) and not row.stderr] == []
 
 
 def test_matrix_names_each_run_its_row_disagrees_with(tmp_path, monkeypatch):
